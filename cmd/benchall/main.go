@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"graphrepair/internal/bench"
-	"graphrepair/internal/core"
 )
 
 func main() {
@@ -42,7 +41,6 @@ func main() {
 		perfScale = flag.Int("perfscale", 64, "dataset size divisor for -perf (64 matches go test -bench BenchmarkCompress)")
 		jsonPath  = flag.String("json", "", "with -perf: also write the report as JSON to this path")
 		workersCS = flag.String("workers", "0", "with -perf: comma-separated compression worker counts to measure (e.g. 1,4)")
-		modesCS   = flag.String("modes", "classic", "with -perf: comma-separated compression modes to measure (classic,maxrepeat)")
 		serveCS   = flag.String("servegoroutines", "", "with -perf: also measure concurrent query serving at these goroutine counts (e.g. 1,4)")
 	)
 	flag.Parse()
@@ -50,11 +48,6 @@ func main() {
 	workers, err := parseWorkers(*workersCS)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchall: -workers: %v\n", err)
-		os.Exit(2)
-	}
-	modes, err := bench.ParseModes(*modesCS)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchall: -modes: %v\n", err)
 		os.Exit(2)
 	}
 	var serveGs []int
@@ -73,7 +66,7 @@ func main() {
 	}
 
 	if *perf {
-		runPerf(*perfScale, workers, modes, serveGs, *jsonPath, progress)
+		runPerf(*perfScale, workers, serveGs, *jsonPath, progress)
 		return
 	}
 
@@ -127,8 +120,8 @@ func parseWorkers(s string) ([]int, error) {
 // runPerf measures the compressor on the medium generator graphs,
 // prints a summary table, and optionally writes the machine-readable
 // report (the BENCH_<n>.json trajectory format).
-func runPerf(scale int, workers []int, modes []core.CompressMode, serveGs []int, jsonPath string, progress func(string, ...any)) {
-	rep, err := bench.Perf(bench.PerfDatasets, scale, workers, modes, progress)
+func runPerf(scale int, workers, serveGs []int, jsonPath string, progress func(string, ...any)) {
+	rep, err := bench.Perf(bench.PerfDatasets, scale, workers, progress)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchall: perf: %v\n", err)
 		os.Exit(1)
@@ -142,17 +135,12 @@ func runPerf(scale int, workers []int, modes []core.CompressMode, serveGs []int,
 	}
 	t := &bench.Table{
 		Title:  fmt.Sprintf("Compressor perf (scale 1/%d, %s %s/%s)", scale, rep.GoVersion, rep.GOOS, rep.GOARCH),
-		Header: []string{"dataset", "workers", "mode", "nodes", "edges", "bytes", "bpe", "ratio", "ms/op", "KB/op", "allocs/op"},
+		Header: []string{"dataset", "workers", "nodes", "edges", "bytes", "bpe", "ratio", "ms/op", "KB/op", "allocs/op"},
 	}
 	for _, r := range rep.Results {
-		mode := r.Mode
-		if mode == "" {
-			mode = "classic"
-		}
 		t.Rows = append(t.Rows, []string{
 			r.Dataset,
 			fmt.Sprint(r.Workers),
-			mode,
 			fmt.Sprint(r.Nodes),
 			fmt.Sprint(r.Edges),
 			fmt.Sprint(r.EncodedBytes),

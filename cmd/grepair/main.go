@@ -39,20 +39,6 @@ var orderNames = map[string]order.Kind{
 	"random": order.Random, "fp0": order.FP0, "fp": order.FP,
 }
 
-var modeNames = map[string]core.CompressMode{
-	"classic": core.ModeClassic, "maxrepeat": core.ModeMaxRepeat,
-}
-
-// modeName renders an archive header mode for -stats.
-func modeName(m encoding.Mode) string {
-	switch m {
-	case encoding.ModeMaxRepeat:
-		return "maxrepeat"
-	default:
-		return "classic"
-	}
-}
-
 // options collects everything main parses from the command line;
 // run takes it whole so tests can drive the tool in-process.
 type options struct {
@@ -63,7 +49,6 @@ type options struct {
 	out        string
 	maxRank    int
 	orderName  string
-	modeName   string
 	seed       int64
 	noVirtual  bool
 	noPrune    bool
@@ -82,7 +67,6 @@ func main() {
 	flag.StringVar(&o.out, "o", "", "output file (default stdout)")
 	flag.IntVar(&o.maxRank, "maxrank", 4, "maximal digram rank")
 	flag.StringVar(&o.orderName, "order", "fp", "node order: natural|bfs|dfs|random|fp0|fp")
-	flag.StringVar(&o.modeName, "mode", "classic", "replacement mode: classic|maxrepeat (recorded in the archive header)")
 	flag.Int64Var(&o.seed, "seed", 0, "seed for the random order")
 	flag.BoolVar(&o.noVirtual, "novirtual", false, "disable the virtual-edge stage")
 	flag.BoolVar(&o.noPrune, "noprune", false, "disable pruning")
@@ -164,10 +148,6 @@ func run(in string, o options) error {
 		if !ok {
 			return fmt.Errorf("unknown order %q", o.orderName)
 		}
-		mode, ok := modeNames[o.modeName]
-		if !ok {
-			return fmt.Errorf("unknown mode %q", o.modeName)
-		}
 		opts := core.Options{
 			MaxRank:           o.maxRank,
 			Order:             kind,
@@ -175,13 +155,12 @@ func run(in string, o options) error {
 			ConnectComponents: !o.noVirtual,
 			SkipPrune:         o.noPrune,
 			Workers:           o.workers,
-			Mode:              mode,
 		}
 		res, err := core.CompressContext(ctx, g, labels, opts)
 		if err != nil {
 			return err
 		}
-		buf, sz, err := encoding.EncodeMode(res.Grammar, encoding.Mode(mode))
+		buf, sz, err := encoding.Encode(res.Grammar)
 		if err != nil {
 			return err
 		}
@@ -249,7 +228,7 @@ func run(in string, o options) error {
 		if err != nil {
 			return err
 		}
-		g, m, err := encoding.DecodeModeContext(ctx, buf, lim)
+		g, err := encoding.DecodeContext(ctx, buf, lim)
 		if err != nil {
 			return err
 		}
@@ -258,7 +237,6 @@ func run(in string, o options) error {
 		}
 		nodes, edges := g.DerivedSize()
 		fmt.Fprintf(output, "file bytes:      %d\n", len(buf))
-		fmt.Fprintf(output, "mode:            %s\n", modeName(m))
 		fmt.Fprintf(output, "terminals:       %d\n", g.Terminals)
 		fmt.Fprintf(output, "rules:           %d\n", g.NumRules())
 		fmt.Fprintf(output, "grammar size:    %d (|G| = nodes+edges measure)\n", g.Size())

@@ -64,7 +64,7 @@ func writeBombFile(t *testing.T, dir string, levels int) string {
 }
 
 func compressOpts(out string) options {
-	return options{compress: true, out: out, maxRank: 4, orderName: "fp", modeName: "classic"}
+	return options{compress: true, out: out, maxRank: 4, orderName: "fp"}
 }
 
 func TestCompressDecompressRoundtripCLI(t *testing.T) {
@@ -124,60 +124,6 @@ func TestBadOrderNameCLI(t *testing.T) {
 	o.orderName = "bogus"
 	if err := run(in, o); err == nil {
 		t.Fatal("bogus order accepted")
-	}
-}
-
-func TestBadModeNameCLI(t *testing.T) {
-	dir := t.TempDir()
-	in := writeTestGraph(t, dir)
-	o := compressOpts(filepath.Join(dir, "x"))
-	o.modeName = "bogus"
-	if err := run(in, o); err == nil {
-		t.Fatal("bogus mode accepted")
-	}
-}
-
-// TestModeCLI runs -mode maxrepeat end to end: the archive carries the
-// mode in its header (reported by -stats), and -d derives the input
-// back — mode is a compressor strategy, not a format fork, so the
-// decompression path is identical.
-func TestModeCLI(t *testing.T) {
-	dir := t.TempDir()
-	in := writeTestGraph(t, dir)
-	for name := range modeNames {
-		grpr := filepath.Join(dir, name+".grpr")
-		o := compressOpts(grpr)
-		o.modeName = name
-		if err := run(in, o); err != nil {
-			t.Fatalf("compress -mode %s: %v", name, err)
-		}
-		statsOut := filepath.Join(dir, name+".txt")
-		if err := run(grpr, options{stats: true, out: statsOut}); err != nil {
-			t.Fatalf("stats -mode %s: %v", name, err)
-		}
-		data, err := os.ReadFile(statsOut)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(string(data), "mode:            "+name) {
-			t.Fatalf("stats output for -mode %s missing mode line:\n%s", name, data)
-		}
-		outGraph := filepath.Join(dir, name+".graph")
-		if err := run(grpr, options{decompress: true, out: outGraph}); err != nil {
-			t.Fatalf("decompress -mode %s archive: %v", name, err)
-		}
-		f, err := os.Open(outGraph)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, labels, _, err := graphio.Read(f)
-		f.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if labels != 2 || g.NumNodes() != 13 || g.NumEdges() != 12 {
-			t.Fatalf("mode %s roundtrip graph: %d labels, %d nodes, %d edges", name, labels, g.NumNodes(), g.NumEdges())
-		}
 	}
 }
 

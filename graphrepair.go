@@ -8,6 +8,8 @@
 // producing a straight-line hyperedge replacement (SL-HR) grammar that
 // derives the input graph (up to isomorphism). The incompressible
 // start graph is serialized with k²-trees, the rules with δ-codes.
+// Encode writes archive format version 1; Decode also reads version 2,
+// which older builds wrote with an identical payload.
 // Queries such as (s,t)-reachability, in/out-neighborhoods, connected
 // components and degree statistics run directly on the grammar,
 // without decompression.
@@ -87,18 +89,6 @@ type (
 	RPQ = query.RPQ
 	// OrderKind selects the node order steering digram counting.
 	OrderKind = order.Kind
-	// CompressMode selects the digram replacement strategy.
-	CompressMode = core.CompressMode
-)
-
-// Compression modes (Options.Mode).
-const (
-	// ModeClassic is the paper's algorithm: one digram per round.
-	ModeClassic = core.ModeClassic
-	// ModeMaxRepeat grows replacements along chains of equal-count
-	// digrams (MR-RePair adapted to graphs): wider rules in fewer
-	// rounds. Archives carry the mode in their header version.
-	ModeMaxRepeat = core.ModeMaxRepeat
 )
 
 // Node order kinds (paper Sec. III-B1).
@@ -139,35 +129,16 @@ func Compress(g *Graph, terminals Label, opts Options) (*Result, error) {
 }
 
 // Encode serializes a grammar into the paper's binary format
-// (k²-trees for the start graph, δ-coded rules) with the classic-mode
-// header; it is EncodeMode with ModeClassic.
+// (k²-trees for the start graph, δ-coded rules).
 func Encode(g *Grammar) (buf []byte, sz Sizes, err error) {
 	defer backstop("encode", &err)
 	return encoding.Encode(g)
-}
-
-// EncodeMode is Encode with the compression mode recorded in the
-// archive header (classic headers are bit-identical to Encode's;
-// max-repeat archives get their own header version). Pass the mode
-// the grammar was compressed with so tooling can report it.
-func EncodeMode(g *Grammar, mode CompressMode) (buf []byte, sz Sizes, err error) {
-	defer backstop("encode", &err)
-	return encoding.EncodeMode(g, encoding.Mode(mode))
 }
 
 // Decode parses a grammar from its binary encoding. For limits and
 // cancellation on untrusted input, see DecodeContext.
 func Decode(buf []byte) (*Grammar, error) {
 	return DecodeContext(context.Background(), buf, Limits{})
-}
-
-// DecodeMode is Decode, additionally reporting the compression mode
-// recorded in the archive header (legacy headers decode as
-// ModeClassic).
-func DecodeMode(buf []byte) (g *Grammar, mode CompressMode, err error) {
-	defer backstop("decode", &err)
-	dg, m, err := encoding.DecodeMode(buf)
-	return dg, CompressMode(m), err
 }
 
 // Decompress decodes a grammar and derives val(G), the canonical

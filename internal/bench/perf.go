@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -24,12 +23,9 @@ const rawTripleBytes = 12
 // compressor's cost profile (wall time, bytes and allocations per
 // run) as measured by the standard benchmark harness.
 type PerfResult struct {
-	Dataset string `json:"dataset"`
-	Scale   int    `json:"scale"`
-	Workers int    `json:"workers"`
-	// Mode is the compression mode the row measured ("maxrepeat");
-	// empty means classic, keeping older trajectory points comparable.
-	Mode         string  `json:"mode,omitempty"`
+	Dataset      string  `json:"dataset"`
+	Scale        int     `json:"scale"`
+	Workers      int     `json:"workers"`
 	Nodes        int     `json:"nodes"`
 	Edges        int     `json:"edges"`
 	EncodedBytes int     `json:"encoded_bytes"`
@@ -61,46 +57,18 @@ type PerfReport struct {
 // family (network, RDF, version).
 var PerfDatasets = []string{"ca-grqc", "rdf-types-ru", "dblp60-70"}
 
-// ModeName names a compression mode for reports and flags.
-func ModeName(m core.CompressMode) string {
-	if m == core.ModeMaxRepeat {
-		return "maxrepeat"
-	}
-	return "classic"
-}
-
-// ParseModes parses a comma-separated mode list ("classic,maxrepeat").
-func ParseModes(s string) ([]core.CompressMode, error) {
-	var out []core.CompressMode
-	for _, part := range strings.Split(s, ",") {
-		switch strings.TrimSpace(part) {
-		case "classic":
-			out = append(out, core.ModeClassic)
-		case "maxrepeat":
-			out = append(out, core.ModeMaxRepeat)
-		default:
-			return nil, fmt.Errorf("bad mode %q (want classic|maxrepeat)", part)
-		}
-	}
-	return out, nil
-}
-
 // Perf measures gRePair end to end on the named datasets and returns
-// the report, one PerfResult per (dataset, worker count, mode) tuple.
+// the report, one PerfResult per (dataset, worker count) pair.
 // Compression output metrics come from one verified run; cost metrics
 // come from testing.Benchmark so they are comparable to
 // `go test -bench BenchmarkCompress`. workers follows Options.Workers
-// (0/1 = sequential; >1 = sharded); nil means sequential only. modes
-// nil means classic only.
-func Perf(datasets []string, scale int, workers []int, modes []core.CompressMode, progress func(format string, args ...any)) (*PerfReport, error) {
+// (0/1 = sequential; >1 = sharded); nil means sequential only.
+func Perf(datasets []string, scale int, workers []int, progress func(format string, args ...any)) (*PerfReport, error) {
 	if progress == nil {
 		progress = func(string, ...any) {}
 	}
 	if len(workers) == 0 {
 		workers = []int{0}
-	}
-	if len(modes) == 0 {
-		modes = []core.CompressMode{core.ModeClassic}
 	}
 	rep := &PerfReport{
 		Benchmark: "compress",
@@ -116,46 +84,39 @@ func Perf(datasets []string, scale int, workers []int, modes []core.CompressMode
 		}
 		edges := d.Graph.NumEdges()
 		for _, w := range workers {
-			for _, mode := range modes {
-				opts := core.DefaultOptions()
-				opts.Workers = w
-				opts.Mode = mode
-				res, err := core.Compress(d.Graph, d.Labels, opts)
-				if err != nil {
-					return nil, fmt.Errorf("bench: perf %s: %w", name, err)
-				}
-				_, sz, err := encoding.EncodeMode(res.Grammar, encoding.Mode(mode))
-				if err != nil {
-					return nil, fmt.Errorf("bench: perf %s: encode: %w", name, err)
-				}
-				progress("perf %s workers=%d mode=%s: measuring (%d nodes, %d edges)", name, w, ModeName(mode), d.Graph.NumNodes(), edges)
-				br := testing.Benchmark(func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						if _, err := core.Compress(d.Graph, d.Labels, opts); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-				r := PerfResult{
-					Dataset:      name,
-					Scale:        scale,
-					Workers:      w,
-					Nodes:        d.Graph.NumNodes(),
-					Edges:        edges,
-					EncodedBytes: sz.TotalBytes(),
-					BitsPerEdge:  BPE(sz.TotalBytes(), edges),
-					Ratio:        float64(sz.TotalBytes()) / float64(rawTripleBytes*edges),
-					NsPerOp:      br.NsPerOp(),
-					WallMsPerOp:  float64(br.NsPerOp()) / 1e6,
-					BytesPerOp:   br.AllocedBytesPerOp(),
-					AllocsPerOp:  br.AllocsPerOp(),
-				}
-				if mode != core.ModeClassic {
-					r.Mode = ModeName(mode)
-				}
-				rep.Results = append(rep.Results, r)
+			opts := core.DefaultOptions()
+			opts.Workers = w
+			res, err := core.Compress(d.Graph, d.Labels, opts)
+			if err != nil {
+				return nil, fmt.Errorf("bench: perf %s: %w", name, err)
 			}
+			_, sz, err := encoding.Encode(res.Grammar)
+			if err != nil {
+				return nil, fmt.Errorf("bench: perf %s: encode: %w", name, err)
+			}
+			progress("perf %s workers=%d: measuring (%d nodes, %d edges)", name, w, d.Graph.NumNodes(), edges)
+			br := testing.Benchmark(func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := core.Compress(d.Graph, d.Labels, opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			rep.Results = append(rep.Results, PerfResult{
+				Dataset:      name,
+				Scale:        scale,
+				Workers:      w,
+				Nodes:        d.Graph.NumNodes(),
+				Edges:        edges,
+				EncodedBytes: sz.TotalBytes(),
+				BitsPerEdge:  BPE(sz.TotalBytes(), edges),
+				Ratio:        float64(sz.TotalBytes()) / float64(rawTripleBytes*edges),
+				NsPerOp:      br.NsPerOp(),
+				WallMsPerOp:  float64(br.NsPerOp()) / 1e6,
+				BytesPerOp:   br.AllocedBytesPerOp(),
+				AllocsPerOp:  br.AllocsPerOp(),
+			})
 		}
 	}
 	return rep, nil

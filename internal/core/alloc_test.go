@@ -103,37 +103,6 @@ func TestHotPathAllocationBudgets(t *testing.T) {
 	}
 }
 
-// TestMaxRepeatChainScanAllocs pins the chain-growth scratch of
-// max-repeat mode to zero steady-state allocations: the candidate scan
-// walks the digram pool in place (no per-step key materialization, no
-// candidate list), so following a chain costs only the replacements
-// themselves. Both the hit path (a real chain continuation on a warm
-// pool) and the full-pool miss scan must not allocate.
-func TestMaxRepeatChainScanAllocs(t *testing.T) {
-	c := warmCompressor(t, chainGraph(64), 2)
-	if len(c.digramPool) == 0 {
-		t.Fatal("warm compressor registered no digrams")
-	}
-	// Probe with the first pool key's own label pairing: scan from 0 so
-	// every entry's retire/count/key checks run.
-	la := c.digramPool[0].key.la
-	count := c.digramPool[0].count
-	if di := c.chainCandidate(la, count, 0); di == noDigram {
-		t.Fatalf("no chain candidate for label %d count %d on a warm pool", la, count)
-	}
-	if n := testing.AllocsPerRun(200, func() {
-		c.chainCandidate(la, count, 0)
-	}); n != 0 {
-		t.Errorf("chainCandidate (hit) allocates %v/op in steady state, want 0", n)
-	}
-	// A label no digram pairs asymmetrically forces the full-pool miss.
-	if n := testing.AllocsPerRun(200, func() {
-		c.chainCandidate(hypergraph.Label(1<<30), count, 0)
-	}); n != 0 {
-		t.Errorf("chainCandidate (miss) allocates %v/op in steady state, want 0", n)
-	}
-}
-
 // TestRuleBuilderAllocs pins the rule materialization budget: with the
 // builder's mapped-attachment and external buffers warm, building a
 // rule graph costs exactly the rule's own backing storage — the

@@ -12,23 +12,6 @@ import (
 	"graphrepair/internal/order"
 )
 
-// CompressMode selects the digram replacement strategy.
-type CompressMode int
-
-const (
-	// ModeClassic is the paper's algorithm: each round replaces the
-	// single most frequent digram and returns to the queue.
-	ModeClassic CompressMode = iota
-	// ModeMaxRepeat adapts MR-RePair (Furuya et al.) to graphs: after a
-	// digram is replaced, the replacement greedily grows along chains
-	// of equal-count digrams involving the fresh nonterminal, and fully
-	// consumed ladder rules are inlined into their successor — wider
-	// rules in fewer rounds (DESIGN.md §15). Output is deterministic
-	// but not byte-identical to classic mode; archives carry a mode tag
-	// in the header version.
-	ModeMaxRepeat
-)
-
 // Options configure gRePair. The zero value is not valid; use
 // DefaultOptions (maxRank 4 and the FP order, the configuration the
 // paper found best across its datasets).
@@ -66,11 +49,6 @@ type Options struct {
 	// byte-identical to the sequential grammar (digram counts pool
 	// across shards in sequential mode).
 	Workers int
-	// Mode selects the replacement strategy: ModeClassic (the zero
-	// value, the paper's one-digram-per-round loop, byte-identical to
-	// the golden grammars) or ModeMaxRepeat (chain growth along
-	// equal-count digrams).
-	Mode CompressMode
 }
 
 // DefaultOptions returns the paper's recommended configuration.
@@ -97,9 +75,6 @@ type Stats struct {
 	// FPClasses is |[≅FP]| of the input when the FP order was used
 	// (0 otherwise); the paper correlates it with compression.
 	FPClasses int
-	// ChainInlined counts ladder rules collapsed into their successor
-	// by max-repeat chain growth (0 in classic mode).
-	ChainInlined int
 }
 
 // Result is a compressed graph: a straight-line HR grammar whose
@@ -113,31 +88,12 @@ type Result struct {
 	// replaced was ~5% of the compressor's residual allocations and
 	// merging per-shard maps would multiply that by the worker count.
 	startRemap []hypergraph.NodeID
-	// nodeMap memoizes StartNodeMap's lazy map view.
-	nodeMap map[hypergraph.NodeID]hypergraph.NodeID
 }
 
 // StartRemap returns the flat input→start-graph node mapping: entry v
 // is input node v's ID after compaction (1..|V_S|), or 0 if the node
 // was consumed into a rule. Entry 0 is always 0.
 func (r *Result) StartRemap() []hypergraph.NodeID { return r.startRemap }
-
-// StartNodeMap returns the mapping of input node IDs that survived in
-// the start graph to their IDs after compaction (1..|V_S|), as a map.
-// The map is built lazily on first call and memoized; callers that can
-// index the flat StartRemap directly should prefer it.
-func (r *Result) StartNodeMap() map[hypergraph.NodeID]hypergraph.NodeID {
-	if r.nodeMap == nil {
-		m := make(map[hypergraph.NodeID]hypergraph.NodeID)
-		for v, now := range r.startRemap {
-			if now != 0 {
-				m[hypergraph.NodeID(v)] = now
-			}
-		}
-		r.nodeMap = m
-	}
-	return r.nodeMap
-}
 
 // virtualLabel is the reserved label of virtual connector edges; it
 // never appears in the final grammar.
@@ -220,14 +176,6 @@ func (c *compressor) run() (*Result, error) {
 		}
 	}
 
-	// Max-repeat chains leave fully inlined ladder rules behind as
-	// unreferenced orphans; drop them here (even with SkipPrune, so
-	// orphans are never encoded) rather than mid-run, where renumbering
-	// labels would invalidate digram keys and interned edges. Pruning
-	// recounts references afterwards from a clean grammar.
-	if c.opts.Mode == ModeMaxRepeat && len(c.chainOrphans) > 0 {
-		c.gram.DropOrphans(c.chainOrphans)
-	}
 	if !c.opts.SkipPrune {
 		c.stats.RulesPruned = c.gram.Prune()
 	}
@@ -432,10 +380,6 @@ type compressor struct {
 	groupStart         []int32
 	liveBuf            []int32
 	attBuf, remBuf     []hypergraph.NodeID
-
-	// chainOrphans collects ladder rules fully inlined by max-repeat
-	// chains (maxrepeat.go), dropped in one batch at the end of run().
-	chainOrphans []hypergraph.Label
 }
 
 // runToFixpoint repeats runStage until a pass creates no further
@@ -504,11 +448,7 @@ func (c *compressor) runStage() error {
 		if di == noDigram {
 			return nil
 		}
-		if c.opts.Mode == ModeMaxRepeat {
-			c.replaceMaxRepeat(di)
-		} else {
-			c.replaceDigram(di)
-		}
+		c.replaceDigram(di)
 	}
 }
 
@@ -625,11 +565,8 @@ func (c *compressor) growEdgeState() {
 // replaceDigram performs steps 4–6 for the selected digram: creates a
 // fresh nonterminal, replaces every live occurrence, invalidates
 // overlapping occurrences of other digrams, and pairs each new
-// nonterminal edge with available neighboring edges. It returns the
-// nonterminal created (0 if the digram no longer had two live
-// occurrences) and the number of occurrences actually replaced, which
-// max-repeat chain growth (maxrepeat.go) consumes.
-func (c *compressor) replaceDigram(di int32) (hypergraph.Label, int) {
+// nonterminal edge with available neighboring edges.
+func (c *compressor) replaceDigram(di int32) {
 	// Copy the key out: the pool may grow (invalidating pointers)
 	// when pairing discovers new digrams below.
 	c.digramPool[di].retired = true
@@ -649,11 +586,10 @@ func (c *compressor) replaceDigram(di int32) (hypergraph.Label, int) {
 	}
 	c.liveBuf = live
 	if len(live) < 2 {
-		return 0, 0
+		return
 	}
 
 	var nt hypergraph.Label
-	made := 0
 	for _, oi := range live {
 		// Earlier replacements in this loop never consume edges of
 		// later occurrences (lists are non-overlapping), but guard
@@ -695,9 +631,7 @@ func (c *compressor) replaceDigram(di int32) (hypergraph.Label, int) {
 			}
 		}
 		c.replaceOccurrence(oi, co, nt, iid)
-		made++
 	}
-	return nt, made
 }
 
 // replaceOccurrence removes the two occurrence edges and the internal

@@ -84,78 +84,6 @@ var goldenGrammars = map[string]string{
 	"star128/shingle":               "929feda2edd5fd05",
 }
 
-// goldenGrammarsMaxRepeat is the max-repeat fork of the golden
-// catalog: the same corpora and configurations compressed with
-// Options.Mode = ModeMaxRepeat and encoded with the mode-tagged
-// header. Classic hashes above are frozen — mode work must never move
-// them — while this table pins the chain-growth path. On corpora
-// where no equal-count chain exists the grammar matches classic and
-// only the header version differs, so hashes still differ from the
-// classic table. Regenerate alongside the classic table with
-// GOLDEN_PRINT=1 (the print emits both, labeled).
-var goldenGrammarsMaxRepeat = map[string]string{
-	"ca-grqc/bfs":                   "9539f93f3bb939b9",
-	"ca-grqc/degdesc":               "9a9113e0bdfbdaa9",
-	"ca-grqc/dfs":                   "1e28df2e698abd05",
-	"ca-grqc/fp":                    "e369242443c821ff",
-	"ca-grqc/fp0":                   "0fc98a013b71f88a",
-	"ca-grqc/maxRank2":              "3bf0be65dd1d0433",
-	"ca-grqc/maxRank8-noPrune":      "5b7434bc72318c25",
-	"ca-grqc/natural":               "5e2a96157c0c3c28",
-	"ca-grqc/random":                "783f3a87df99aa4a",
-	"ca-grqc/shingle":               "880853ca1f99ae34",
-	"chain64/bfs":                   "87c99f8aea4fe0e8",
-	"chain64/degdesc":               "87c99f8aea4fe0e8",
-	"chain64/dfs":                   "87c99f8aea4fe0e8",
-	"chain64/fp":                    "cbdbcaeefb3a3e59",
-	"chain64/fp0":                   "87c99f8aea4fe0e8",
-	"chain64/maxRank2":              "cbdbcaeefb3a3e59",
-	"chain64/maxRank8-noPrune":      "cbdbcaeefb3a3e59",
-	"chain64/natural":               "87c99f8aea4fe0e8",
-	"chain64/random":                "b81cb3b9222e9911",
-	"chain64/shingle":               "f058ab7e6a8be453",
-	"circles32/bfs":                 "db91fe0f3d59588b",
-	"circles32/degdesc":             "98d371c1e61c6cc2",
-	"circles32/dfs":                 "db91fe0f3d59588b",
-	"circles32/fp":                  "10b8d8024ca10f06",
-	"circles32/fp0":                 "98d371c1e61c6cc2",
-	"circles32/maxRank2":            "10b8d8024ca10f06",
-	"circles32/maxRank8-noPrune":    "9f7a068dad2b775c",
-	"circles32/natural":             "db91fe0f3d59588b",
-	"circles32/random":              "37e39a0e8ca24cc8",
-	"circles32/shingle":             "c68826b6f50d4a3d",
-	"dblp60-70/bfs":                 "ba91e9fad04fdccd",
-	"dblp60-70/degdesc":             "78e52d1ac8e045a6",
-	"dblp60-70/dfs":                 "ba91e9fad04fdccd",
-	"dblp60-70/fp":                  "5361fe6af4fd8dc5",
-	"dblp60-70/fp0":                 "40f1e25e67031301",
-	"dblp60-70/maxRank2":            "1f8b690eb7e9a7fe",
-	"dblp60-70/maxRank8-noPrune":    "5f7e8875a3f170d4",
-	"dblp60-70/natural":             "a32f2b3f6191eb1c",
-	"dblp60-70/random":              "a71f25b23f739cd4",
-	"dblp60-70/shingle":             "885a13b58157e057",
-	"rdf-types-ru/bfs":              "20adfda8a8d5a019",
-	"rdf-types-ru/degdesc":          "6556135826c07394",
-	"rdf-types-ru/dfs":              "20adfda8a8d5a019",
-	"rdf-types-ru/fp":               "ef5805f28b779c87",
-	"rdf-types-ru/fp0":              "f799f3c22b223cd8",
-	"rdf-types-ru/maxRank2":         "ca3b38840282b023",
-	"rdf-types-ru/maxRank8-noPrune": "ef0ba10e88713859",
-	"rdf-types-ru/natural":          "2fc6a60e2d5a9331",
-	"rdf-types-ru/random":           "d39653486d9aad1a",
-	"rdf-types-ru/shingle":          "9b8603776784e95b",
-	"star128/bfs":                   "61141b81e7737f6c",
-	"star128/degdesc":               "61141b81e7737f6c",
-	"star128/dfs":                   "61141b81e7737f6c",
-	"star128/fp":                    "61141b81e7737f6c",
-	"star128/fp0":                   "61141b81e7737f6c",
-	"star128/maxRank2":              "61141b81e7737f6c",
-	"star128/maxRank8-noPrune":      "668f94b8a2f682ed",
-	"star128/natural":               "61141b81e7737f6c",
-	"star128/random":                "61141b81e7737f6c",
-	"star128/shingle":               "61141b81e7737f6c",
-}
-
 func goldenCorpora(t testing.TB) map[string]struct {
 	g      *hypergraph.Graph
 	labels hypergraph.Label
@@ -194,7 +122,7 @@ func encodeHash(t testing.TB, g *hypergraph.Graph, labels hypergraph.Label, opts
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf, _, err := encoding.EncodeMode(res.Grammar, encoding.Mode(opts.Mode))
+	buf, _, err := encoding.Encode(res.Grammar)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,8 +133,7 @@ func encodeHash(t testing.TB, g *hypergraph.Graph, labels hypergraph.Label, opts
 // TestGoldenGrammars asserts the compressor produces byte-identical
 // encoded grammars to the pre-optimization path on fixed generator
 // corpora, across all order.Kinds (plus the extended orders) and a
-// MaxRank/prune sweep — once per CompressMode, each mode against its
-// own frozen hash table.
+// MaxRank/prune sweep.
 func TestGoldenGrammars(t *testing.T) {
 	corpora := goldenCorpora(t)
 	// Default options are covered by the ExtendedKinds sweep below;
@@ -219,59 +146,41 @@ func TestGoldenGrammars(t *testing.T) {
 		{"maxRank8-noPrune", Options{MaxRank: 8, Order: order.FP, SkipPrune: true}},
 	}
 
-	collect := func(mode CompressMode) map[string]string {
-		got := map[string]string{}
-		for name, c := range corpora {
-			for _, k := range order.ExtendedKinds {
-				opts := DefaultOptions()
-				opts.Order = k
-				opts.Seed = 42
-				opts.Mode = mode
-				got[fmt.Sprintf("%s/%s", name, k)] = encodeHash(t, c.g, c.labels, opts)
-			}
-			for _, v := range variants {
-				opts := v.opts
-				opts.Mode = mode
-				got[fmt.Sprintf("%s/%s", name, v.tag)] = encodeHash(t, c.g, c.labels, opts)
-			}
+	got := map[string]string{}
+	for name, c := range corpora {
+		for _, k := range order.ExtendedKinds {
+			opts := DefaultOptions()
+			opts.Order = k
+			opts.Seed = 42
+			got[fmt.Sprintf("%s/%s", name, k)] = encodeHash(t, c.g, c.labels, opts)
 		}
-		return got
-	}
-	tables := []struct {
-		name   string
-		mode   CompressMode
-		golden map[string]string
-	}{
-		{"classic", ModeClassic, goldenGrammars},
-		{"maxrepeat", ModeMaxRepeat, goldenGrammarsMaxRepeat},
+		for _, v := range variants {
+			got[fmt.Sprintf("%s/%s", name, v.tag)] = encodeHash(t, c.g, c.labels, v.opts)
+		}
 	}
 
-	for _, tab := range tables {
-		got := collect(tab.mode)
-		if os.Getenv("GOLDEN_PRINT") != "" {
-			keys := make([]string, 0, len(got))
-			for k := range got {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			fmt.Printf("// mode %s:\n", tab.name)
-			for _, k := range keys {
-				fmt.Printf("\t%q: %q,\n", k, got[k])
-			}
-			continue
-		}
-		if len(tab.golden) == 0 {
-			t.Fatalf("%s golden table empty; regenerate with GOLDEN_PRINT=1", tab.name)
-		}
-		for k, want := range tab.golden {
-			if got[k] != want {
-				t.Errorf("%s/%s: encoded grammar hash %s, want %s (output drifted from the pinned compressor)", tab.name, k, got[k], want)
-			}
-		}
+	if os.Getenv("GOLDEN_PRINT") != "" {
+		keys := make([]string, 0, len(got))
 		for k := range got {
-			if _, ok := tab.golden[k]; !ok {
-				t.Errorf("%s/%s: missing golden entry", tab.name, k)
-			}
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			fmt.Printf("\t%q: %q,\n", k, got[k])
+		}
+		return
+	}
+	if len(goldenGrammars) == 0 {
+		t.Fatal("golden table empty; regenerate with GOLDEN_PRINT=1")
+	}
+	for k, want := range goldenGrammars {
+		if got[k] != want {
+			t.Errorf("%s: encoded grammar hash %s, want %s (output drifted from the pinned compressor)", k, got[k], want)
+		}
+	}
+	for k := range got {
+		if _, ok := goldenGrammars[k]; !ok {
+			t.Errorf("%s: missing golden entry", k)
 		}
 	}
 }

@@ -147,24 +147,28 @@ func TestSkipPruneKeepsAllRules(t *testing.T) {
 	}
 }
 
-func TestStartNodeMapCoversStartGraph(t *testing.T) {
+func TestStartRemapCoversStartGraph(t *testing.T) {
 	g := chainGraph(16)
 	res, err := Compress(g, 2, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := res.Grammar.Start
-	if len(res.StartNodeMap()) != s.NumNodes() {
-		t.Fatalf("map covers %d nodes, start graph has %d", len(res.StartNodeMap()), s.NumNodes())
-	}
-	if got := len(res.StartRemap()); got != int(g.MaxNodeID())+1 {
+	remap := res.StartRemap()
+	if got := len(remap); got != int(g.MaxNodeID())+1 {
 		t.Fatalf("flat remap has %d entries, want input table size %d", got, g.MaxNodeID()+1)
 	}
 	seen := map[hypergraph.NodeID]bool{}
-	for orig, now := range res.StartNodeMap() {
-		if !g.HasNode(orig) || !s.HasNode(now) || seen[now] {
-			t.Fatal("StartNodeMap inconsistent")
+	for orig, now := range remap {
+		if now == 0 {
+			continue
+		}
+		if !g.HasNode(hypergraph.NodeID(orig)) || !s.HasNode(now) || seen[now] {
+			t.Fatalf("StartRemap inconsistent at input node %d -> %d", orig, now)
 		}
 		seen[now] = true
+	}
+	if len(seen) != s.NumNodes() {
+		t.Fatalf("remap covers %d nodes, start graph has %d", len(seen), s.NumNodes())
 	}
 }

@@ -40,24 +40,6 @@ import (
 // MaxSupportedRank mirrors core.MaxSupportedRank.
 const MaxSupportedRank = 16
 
-// Mode mirrors core.CompressMode.
-type Mode int
-
-const (
-	// ModeClassic is the paper's algorithm: one digram per round.
-	ModeClassic Mode = iota
-	// ModeMaxRepeat grows each replacement along chains of equal-count
-	// digrams (MR-RePair adapted to graphs): after a digram is
-	// replaced, the digrams its nonterminal label just created are
-	// scanned in first-seen order for one with the same live count, and
-	// the chain continues there immediately instead of returning to the
-	// queue. When a chain step consumes every edge of the previous
-	// nonterminal, the previous rule is inlined into the new one — a
-	// wider rule — and the ladder rule is dropped as an orphan at the
-	// end of the run.
-	ModeMaxRepeat
-)
-
 // Options configure the reference compressor; the fields mirror
 // core.Options (the package cannot import core without creating an
 // import cycle through core's tests).
@@ -68,7 +50,6 @@ type Options struct {
 	ConnectComponents bool
 	SkipPrune         bool
 	SinglePass        bool
-	Mode              Mode
 }
 
 // Stats mirrors core.Stats field for field so the harness can compare
@@ -80,14 +61,15 @@ type Stats struct {
 	VirtualEdges      int
 	SkippedDuplicates int
 	FPClasses         int
-	ChainInlined      int
 }
 
 // Result is the reference compressor's output.
 type Result struct {
-	Grammar      *grammar.Grammar
-	Stats        Stats
-	StartNodeMap map[hypergraph.NodeID]hypergraph.NodeID
+	Grammar *grammar.Grammar
+	Stats   Stats
+	// StartRemap mirrors core.Result.StartRemap: entry v is input node
+	// v's start-graph ID after compaction, or 0 if it was consumed.
+	StartRemap []hypergraph.NodeID
 }
 
 // virtualLabel mirrors core's reserved connector label.
@@ -133,27 +115,14 @@ func Compress(g *hypergraph.Graph, terminals hypergraph.Label, opts Options) (*R
 			c.stripVirtualEdges()
 		}
 	}
-	// Max-repeat chains leave fully inlined ladder rules behind as
-	// unreferenced orphans; drop them (even with SkipPrune, so orphans
-	// are never encoded) before pruning recounts references.
-	if opts.Mode == ModeMaxRepeat && len(c.chainOrphans) > 0 {
-		c.gram.DropOrphans(c.chainOrphans)
-	}
 	if !opts.SkipPrune {
 		c.stats.RulesPruned = c.gram.Prune()
 	}
-	// Compact returns the remap as a flat slice; the reference keeps
-	// its naive map shape by converting.
-	remap := map[hypergraph.NodeID]hypergraph.NodeID{}
-	for old, now := range c.g.Compact() {
-		if now != 0 {
-			remap[hypergraph.NodeID(old)] = now
-		}
-	}
+	remap := c.g.Compact()
 	if err := c.gram.Validate(); err != nil {
 		return nil, fmt.Errorf("reference: produced invalid grammar: %w", err)
 	}
-	return &Result{Grammar: c.gram, Stats: c.stats, StartNodeMap: remap}, nil
+	return &Result{Grammar: c.gram, Stats: c.stats, StartRemap: remap}, nil
 }
 
 // edgeTriple identifies a rank-2 edge by label and ordered attachment
@@ -211,10 +180,6 @@ type compressor struct {
 	avail       map[hypergraph.NodeID]*avail
 	edgeCount   map[edgeTriple]int
 
-	// chainOrphans collects ladder rules fully inlined by max-repeat
-	// chains, dropped in one batch at the end of the run.
-	chainOrphans []hypergraph.Label
-
 	stats Stats
 }
 
@@ -252,84 +217,8 @@ func (c *compressor) runStage() {
 		if di < 0 {
 			return
 		}
-		if c.opts.Mode == ModeMaxRepeat {
-			c.replaceMaxRepeat(di)
-		} else {
-			c.replaceDigram(di)
-		}
+		c.replaceDigram(di)
 	}
-}
-
-// replaceMaxRepeat replaces digram di and then greedily follows the
-// chain of equal-count digrams its fresh nonterminal created: among
-// the digrams registered during the replacement (only those can
-// involve the new label), the first in registration order whose live
-// count equals the number of replacements just made and whose key has
-// the nonterminal on exactly one side is replaced immediately, without
-// returning to the queue. When a chain step consumes every edge of the
-// previous nonterminal, the previous rule survives only inside the new
-// rule's right-hand side, so it is inlined there — widening the rule —
-// and recorded as an orphan.
-func (c *compressor) replaceMaxRepeat(di int) {
-	mark := len(c.digrams)
-	nt, made := c.replaceDigram(di)
-	for nt != 0 && made >= 2 {
-		next := c.chainCandidate(nt, made, mark)
-		if next < 0 {
-			return
-		}
-		mark = len(c.digrams)
-		nt2, made2 := c.replaceDigram(next)
-		if nt2 == 0 {
-			return
-		}
-		if made2 == made {
-			c.inlineChainRule(nt, nt2)
-		}
-		nt, made = nt2, made2
-	}
-}
-
-// keyLabel extracts one of the two little-endian edge labels from a
-// digram key string (offset 0 for the first edge, 4 for the second).
-func keyLabel(key string, off int) hypergraph.Label {
-	return hypergraph.Label(uint32(key[off]) | uint32(key[off+1])<<8 |
-		uint32(key[off+2])<<16 | uint32(key[off+3])<<24)
-}
-
-// chainCandidate returns the index of the first digram registered at
-// or after from whose live count equals count and whose key has label
-// nt on exactly one side, or -1. First-seen order makes the pick
-// deterministic; digrams pairing nt with itself are excluded (their
-// count is at most half of nt's edges, so they can never cover all of
-// them).
-func (c *compressor) chainCandidate(nt hypergraph.Label, count, from int) int {
-	for di := from; di < len(c.digrams); di++ {
-		d := c.digrams[di]
-		if d.retired || d.count != count {
-			continue
-		}
-		if (keyLabel(d.key, 0) == nt) != (keyLabel(d.key, 4) == nt) {
-			return di
-		}
-	}
-	return -1
-}
-
-// inlineChainRule inlines rule nt's right-hand side into rule parent
-// at its single nt-labeled edge (the chain step consumed every other
-// nt edge, so the rule is referenced nowhere else) and records nt as
-// an orphan for the end-of-run drop.
-func (c *compressor) inlineChainRule(nt, parent hypergraph.Label) {
-	rhs := c.gram.Rule(parent)
-	for id := range rhs.EdgesSeq() {
-		if rhs.Label(id) == nt {
-			c.gram.Inline(rhs, id)
-			break
-		}
-	}
-	c.chainOrphans = append(c.chainOrphans, nt)
-	c.stats.ChainInlined++
 }
 
 func effLabel(label hypergraph.Label, pos int) uint64 {
@@ -424,10 +313,8 @@ func (c *compressor) tryCount(u hypergraph.NodeID, x, y hypergraph.EdgeID) int {
 
 // replaceDigram replaces every live occurrence of the digram: first
 // pass collects the live occurrences in append order, second pass
-// replaces them. It returns the nonterminal created (0 if the digram
-// no longer had two live occurrences) and the number of occurrences
-// actually replaced, which max-repeat chain growth consumes.
-func (c *compressor) replaceDigram(di int) (hypergraph.Label, int) {
+// replaces them.
+func (c *compressor) replaceDigram(di int) {
 	d := c.digrams[di]
 	d.retired = true
 	key := d.key
@@ -440,10 +327,9 @@ func (c *compressor) replaceDigram(di int) (hypergraph.Label, int) {
 		}
 	}
 	if len(live) < 2 {
-		return 0, 0
+		return
 	}
 	var nt hypergraph.Label
-	made := 0
 	for _, oi := range live {
 		o := c.occs[oi]
 		if o.dead || !c.g.HasEdge(o.e1) || !c.g.HasEdge(o.e2) {
@@ -463,9 +349,7 @@ func (c *compressor) replaceDigram(di int) (hypergraph.Label, int) {
 			continue
 		}
 		c.replaceOccurrence(oi, f, nt, att)
-		made++
 	}
-	return nt, made
 }
 
 // replaceOccurrence removes the two occurrence edges and the internal

@@ -5,7 +5,9 @@ import (
 	"slices"
 	"testing"
 
+	"graphrepair/internal/encoding"
 	"graphrepair/internal/gen"
+	"graphrepair/internal/grammar"
 	"graphrepair/internal/hypergraph"
 	"graphrepair/internal/iso"
 	"graphrepair/internal/order"
@@ -29,7 +31,39 @@ func checkRoundTrip(t *testing.T, g *hypergraph.Graph, labels hypergraph.Label, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	derived, err := res.Grammar.Derive(int64(g.NumNodes()) + 16)
+	checkDerivesInput(t, g, res.Grammar)
+}
+
+// roundTripLeaves compresses g once and runs the round trip as two
+// leaves: "classic" derives the compressor's grammar, and legacyLeaf
+// derives the grammar read back from its archive relabelled version 2.
+func roundTripLeaves(t *testing.T, g *hypergraph.Graph, labels hypergraph.Label, opts Options) {
+	t.Helper()
+	res, err := Compress(g, labels, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Run("classic", func(t *testing.T) {
+		checkDerivesInput(t, g, res.Grammar)
+	})
+	t.Run(legacyLeaf, func(t *testing.T) {
+		buf, _, err := encoding.Encode(res.Grammar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := encoding.Decode(asLegacyArchive(buf))
+		if err != nil {
+			t.Fatalf("decode version-2 archive: %v", err)
+		}
+		checkDerivesInput(t, g, dec)
+	})
+}
+
+// checkDerivesInput fully derives gram and asserts the derivation is
+// isomorphic to g (structurally equivalent above isoNodeLimit).
+func checkDerivesInput(t *testing.T, g *hypergraph.Graph, gram *grammar.Grammar) {
+	t.Helper()
+	derived, err := gram.Derive(int64(g.NumNodes()) + 16)
 	if err != nil {
 		t.Fatalf("derive: %v", err)
 	}
@@ -92,25 +126,20 @@ func checkStructuralEquiv(t *testing.T, a, b *hypergraph.Graph) {
 
 // TestGeneratorRoundTrip runs the derive-and-isomorphism round trip
 // over the full generator catalog with the paper's default
-// configuration, in both compression modes: every workload family the
-// repo models must decompress back to its input whichever replacement
-// strategy built the grammar.
+// configuration: every workload family the repo models must
+// decompress back to its input.
 func TestGeneratorRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generator round trip is seconds-per-model; skipped in -short")
 	}
 	for _, name := range gen.Names("") {
-		for _, m := range diffModes {
-			t.Run(name+"/"+m.name, func(t *testing.T) {
-				d, err := gen.Generate(name, 2048)
-				if err != nil {
-					t.Fatal(err)
-				}
-				opts := DefaultOptions()
-				opts.Mode = m.mode
-				checkRoundTrip(t, d.Graph, d.Labels, opts)
-			})
-		}
+		t.Run(name, func(t *testing.T) {
+			d, err := gen.Generate(name, 2048)
+			if err != nil {
+				t.Fatal(err)
+			}
+			roundTripLeaves(t, d.Graph, d.Labels, DefaultOptions())
+		})
 	}
 }
 
@@ -123,17 +152,13 @@ func TestGeneratorRoundTripScales(t *testing.T) {
 	}
 	for _, name := range []string{"rdf-types-ru", "wiki-talk", "notredame", "rdf-jamendo"} {
 		for _, scale := range []int{512, 2048} {
-			for _, m := range diffModes {
-				t.Run(fmt.Sprintf("%s/scale%d/%s", name, scale, m.name), func(t *testing.T) {
-					d, err := gen.Generate(name, scale)
-					if err != nil {
-						t.Fatal(err)
-					}
-					opts := DefaultOptions()
-					opts.Mode = m.mode
-					checkRoundTrip(t, d.Graph, d.Labels, opts)
-				})
-			}
+			t.Run(fmt.Sprintf("%s/scale%d", name, scale), func(t *testing.T) {
+				d, err := gen.Generate(name, scale)
+				if err != nil {
+					t.Fatal(err)
+				}
+				roundTripLeaves(t, d.Graph, d.Labels, DefaultOptions())
+			})
 		}
 	}
 }

@@ -497,7 +497,6 @@ func mergeShardResults(ctx context.Context, base *hypergraph.Graph, shards []sha
 		agg.Replacements += r.Stats.Replacements
 		agg.VirtualEdges += r.Stats.VirtualEdges
 		agg.SkippedDuplicates += r.Stats.SkippedDuplicates
-		agg.ChainInlined += r.Stats.ChainInlined
 	}
 
 	mg := hypergraph.New(totalNodes)
@@ -543,7 +542,6 @@ func mergeShardResults(ctx context.Context, base *hypergraph.Graph, shards []sha
 	res.Stats.Replacements += agg.Replacements
 	res.Stats.VirtualEdges += agg.VirtualEdges
 	res.Stats.SkippedDuplicates += agg.SkippedDuplicates
-	res.Stats.ChainInlined += agg.ChainInlined
 
 	// Compose input → shard-compaction → merged-offset → final
 	// compaction into one flat remap in base IDs. The remap is an

@@ -1,6 +1,7 @@
 package encoding
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -20,8 +21,9 @@ const sweepAllocBudget = 64 << 20
 
 // sweepCorpora returns the encoded form of the six golden corpora
 // (the same graph family TestGoldenGrammars pins in internal/core),
-// compressed with default options — each once classic and once in
-// max-repeat mode ("-mr", version-2 header).
+// compressed with default options — each also as a "-mr" twin, the
+// same archive with header version 2 (written by builds with the
+// removed max-repeat mode, still read as an alias of version 1).
 func sweepCorpora(t testing.TB) map[string][]byte {
 	t.Helper()
 	type corpus struct {
@@ -60,20 +62,11 @@ func sweepCorpora(t testing.TB) map[string][]byte {
 		}
 		out[name] = buf
 
-		// The max-repeat twin: a mode-tagged (version-2) archive of the
-		// same input, so every sweep also hits the tagged header — in
-		// particular flips of the version byte must classify as corrupt.
-		opts := core.DefaultOptions()
-		opts.Mode = core.ModeMaxRepeat
-		res, err = core.Compress(c.g, c.labels, opts)
-		if err != nil {
-			t.Fatalf("%s/maxrepeat: %v", name, err)
-		}
-		buf, _, err = EncodeMode(res.Grammar, ModeMaxRepeat)
-		if err != nil {
-			t.Fatalf("%s/maxrepeat: %v", name, err)
-		}
-		out[name+"-mr"] = buf
+		// Every sweep also hits the legacy header; in particular,
+		// flips of the version byte must classify as corrupt.
+		v2 := bytes.Clone(buf)
+		v2[4] = legacyVersion
+		out[name+"-mr"] = v2
 	}
 	return out
 }

@@ -36,40 +36,17 @@ import (
 	"graphrepair/internal/k2tree"
 )
 
-// magic identifies the file format; the version byte guards
-// compatibility and doubles as the compression-mode tag: version 1 is
-// a classic-mode archive (every pre-mode file, bit-unchanged), version
-// 2 a max-repeat-mode one. The grammar payload format is identical in
-// both — the tag records provenance so tooling can report the mode and
-// round-trip it — and any other version is rejected as unsupported
-// (classified ErrCorrupt by DecodeContext).
+// magic identifies the file format and version guards compatibility.
+// Encode writes version 1. The decoder also accepts legacyVersion, a
+// read-only alias of 1 with an identical payload: builds that had a
+// second (since removed) compression mode tagged its archives with it.
+// Any other version is rejected as unsupported (classified ErrCorrupt
+// by DecodeContext).
 const (
-	magic            = 0x47525052 // "GRPR"
-	version          = 1
-	versionMaxRepeat = 2
+	magic         = 0x47525052 // "GRPR"
+	version       = 1
+	legacyVersion = 2
 )
-
-// Mode is the compression mode recorded in an archive header. The
-// values mirror core.CompressMode (the package cannot import core,
-// which depends on this one's consumers for tests; the facade converts
-// between the two).
-type Mode uint8
-
-const (
-	ModeClassic   Mode = 0
-	ModeMaxRepeat Mode = 1
-)
-
-// versionOf maps a mode to its header version byte.
-func versionOf(m Mode) (uint64, error) {
-	switch m {
-	case ModeClassic:
-		return version, nil
-	case ModeMaxRepeat:
-		return versionMaxRepeat, nil
-	}
-	return 0, fmt.Errorf("encoding: unknown mode %d", m)
-}
 
 // maxDecodeNodes caps the start-graph node count the decoder accepts.
 // k²-trees make the encoding sublinear in the node count, so the
@@ -97,22 +74,10 @@ func (s Sizes) Total() int { return s.Header + s.Rules + s.StartGraph }
 // TotalBytes returns the size in whole bytes (what a file would take).
 func (s Sizes) TotalBytes() int { return (s.Total() + 7) / 8 }
 
-// Encode serializes a grammar with the classic-mode header; it is
-// EncodeMode with ModeClassic, producing bytes identical to every
-// pre-mode release.
+// Encode serializes a grammar. The grammar is canonicalized in place
+// (see package comment); the start graph must already be compact
+// (nodes 1..n), which core.Compress guarantees.
 func Encode(g *grammar.Grammar) ([]byte, Sizes, error) {
-	return EncodeMode(g, ModeClassic)
-}
-
-// EncodeMode serializes a grammar, recording mode in the header
-// version byte. The grammar is canonicalized in place (see package
-// comment); the start graph must already be compact (nodes 1..n),
-// which core.Compress guarantees.
-func EncodeMode(g *grammar.Grammar, mode Mode) ([]byte, Sizes, error) {
-	v, err := versionOf(mode)
-	if err != nil {
-		return nil, Sizes{}, err
-	}
 	if err := g.Validate(); err != nil {
 		return nil, Sizes{}, fmt.Errorf("encoding: invalid grammar: %w", err)
 	}
@@ -129,7 +94,7 @@ func EncodeMode(g *grammar.Grammar, mode Mode) ([]byte, Sizes, error) {
 
 	w := bitio.NewWriter()
 	w.WriteBits(magic, 32)
-	w.WriteBits(v, 8)
+	w.WriteBits(version, 8)
 	w.WriteDelta0(uint64(g.Terminals))
 	w.WriteDelta0(uint64(g.NumRules()))
 	var sz Sizes
@@ -312,16 +277,10 @@ const (
 	edgeCostBytes = 64
 )
 
-// Decode parses a grammar encoded by Encode/EncodeMode, with no limits
-// and no cancellation; it is DecodeContext with a background context.
+// Decode parses a grammar encoded by Encode, with no limits and no
+// cancellation; it is DecodeContext with a background context.
 func Decode(buf []byte) (*grammar.Grammar, error) {
 	return DecodeContext(context.Background(), buf, govern.Limits{})
-}
-
-// DecodeMode is Decode, additionally reporting the compression mode
-// the archive header carries (legacy version-1 headers are classic).
-func DecodeMode(buf []byte) (*grammar.Grammar, Mode, error) {
-	return DecodeModeContext(context.Background(), buf, govern.Limits{})
 }
 
 // DecodeContext parses a grammar encoded by Encode under resource
@@ -333,76 +292,63 @@ func DecodeMode(buf []byte) (*grammar.Grammar, Mode, error) {
 // the govern taxonomy: corrupt input wraps govern.ErrCorrupt, budget
 // overruns wrap govern.ErrLimit, cancellation wraps govern.ErrCanceled.
 func DecodeContext(ctx context.Context, buf []byte, lim govern.Limits) (*grammar.Grammar, error) {
-	g, _, err := DecodeModeContext(ctx, buf, lim)
-	return g, err
-}
-
-// DecodeModeContext is DecodeContext, additionally reporting the
-// compression mode from the archive header.
-func DecodeModeContext(ctx context.Context, buf []byte, lim govern.Limits) (*grammar.Grammar, Mode, error) {
-	g, mode, err := decode(ctx, buf, lim)
+	g, err := decode(ctx, buf, lim)
 	if err != nil {
-		return nil, mode, govern.Corrupt(err)
+		return nil, govern.Corrupt(err)
 	}
-	return g, mode, nil
+	return g, nil
 }
 
-func decode(ctx context.Context, buf []byte, lim govern.Limits) (*grammar.Grammar, Mode, error) {
+func decode(ctx context.Context, buf []byte, lim govern.Limits) (*grammar.Grammar, error) {
 	r := bitio.NewReader(buf)
 	b := govern.NewBudget(lim.MaxAllocBytes)
 	bud := &b
 	m, err := r.ReadBits(32)
 	if err != nil {
-		return nil, ModeClassic, fmt.Errorf("encoding: bad magic: %w", err)
+		return nil, fmt.Errorf("encoding: bad magic: %w", err)
 	}
 	if m != magic {
-		return nil, ModeClassic, errors.New("encoding: bad magic")
+		return nil, errors.New("encoding: bad magic")
 	}
 	v, err := r.ReadBits(8)
 	if err != nil {
-		return nil, ModeClassic, fmt.Errorf("encoding: bad version: %w", err)
+		return nil, fmt.Errorf("encoding: bad version: %w", err)
 	}
-	var mode Mode
-	switch v {
-	case version:
-		mode = ModeClassic
-	case versionMaxRepeat:
-		mode = ModeMaxRepeat
-	default:
-		return nil, ModeClassic, fmt.Errorf("encoding: unsupported version %d", v)
+	if v != version && v != legacyVersion {
+		return nil, fmt.Errorf("encoding: unsupported version %d", v)
 	}
 	terms, err := r.ReadDelta0()
 	if err != nil {
-		return nil, mode, err
+		return nil, err
 	}
 	nRules, err := r.ReadDelta0()
 	if err != nil {
-		return nil, mode, err
+		return nil, err
 	}
 	// Plausibility caps: every rule costs at least a few bits, so the
 	// claimed counts cannot exceed the remaining input (guards
 	// allocation on corrupt files).
 	if terms > 1<<31 || nRules > uint64(r.Remaining()) {
-		return nil, mode, fmt.Errorf("encoding: implausible header (terms %d, rules %d)", terms, nRules)
+		return nil, fmt.Errorf("encoding: implausible header (terms %d, rules %d)", terms, nRules)
 	}
 	g := grammar.New(hypergraph.Label(terms), nil)
 	for i := uint64(0); i < nRules; i++ {
 		if err := govern.Checkpoint(ctx, "encoding: decode rules"); err != nil {
-			return nil, mode, err
+			return nil, err
 		}
 		rhs, err := decodeRule(r, g, bud)
 		if err != nil {
-			return nil, mode, fmt.Errorf("encoding: rule %d: %w", i, err)
+			return nil, fmt.Errorf("encoding: rule %d: %w", i, err)
 		}
 		g.AddRule(rhs)
 	}
 	if err := decodeStart(ctx, r, g, bud); err != nil {
-		return nil, mode, err
+		return nil, err
 	}
 	if err := g.Validate(); err != nil {
-		return nil, mode, fmt.Errorf("encoding: decoded grammar invalid: %w", err)
+		return nil, fmt.Errorf("encoding: decoded grammar invalid: %w", err)
 	}
-	return g, mode, nil
+	return g, nil
 }
 
 func decodeRule(r *bitio.Reader, g *grammar.Grammar, bud *govern.Budget) (*hypergraph.Graph, error) {

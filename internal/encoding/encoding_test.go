@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"os"
 	"testing"
 
 	"graphrepair/internal/core"
+	"graphrepair/internal/gen"
 	"graphrepair/internal/govern"
 	"graphrepair/internal/grammar"
 	"graphrepair/internal/hypergraph"
@@ -253,70 +255,63 @@ func TestPaperRuleEncodingShape(t *testing.T) {
 	}
 }
 
-// TestModeHeader pins the mode-tag contract of the header version
-// byte: EncodeMode(·, ModeClassic) is bit-identical to Encode (legacy
-// archives ARE classic archives), a max-repeat archive differs only in
-// its version byte, decodes to the same grammar, and reports its mode;
-// an unknown version is rejected as corrupt.
-func TestModeHeader(t *testing.T) {
-	g := buildChain(16)
-	gram := compress(t, g, 2)
-	legacy, _, err := Encode(gram)
+// TestVersionHeader pins the header version byte: Encode writes magic
+// plus version 1, version 2 decodes as an alias of 1, and every other
+// version is rejected as corrupt. The sealed fixture is a real version-2
+// archive from an older build (rdf-types-ru at scale 512, compressed
+// with that build's chain-growth mode).
+func TestVersionHeader(t *testing.T) {
+	chain := buildChain(16)
+	enc, _, err := Encode(compress(t, chain, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	classic, _, err := EncodeMode(gram, ModeClassic)
+	if want := []byte("GRPR\x01"); !bytes.HasPrefix(enc, want) {
+		t.Fatalf("Encode header % x, want % x", enc[:len(want)], want)
+	}
+	withVersion := func(v byte) []byte {
+		buf := append([]byte(nil), enc...)
+		buf[4] = v
+		return buf
+	}
+	fixture, err := os.ReadFile("testdata/legacy_v2_sealed.grpr")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(legacy, classic) {
-		t.Fatal("EncodeMode(ModeClassic) differs from Encode: legacy bits moved")
-	}
-	mr, _, err := EncodeMode(gram, ModeMaxRepeat)
+	rdf, err := gen.Generate("rdf-types-ru", 512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mr) != len(classic) {
-		t.Fatalf("mode tag changed archive size: %d vs %d bytes", len(mr), len(classic))
-	}
-	diff := 0
-	for i := range mr {
-		if mr[i] != classic[i] {
-			diff++
-		}
-	}
-	if diff != 1 {
-		t.Fatalf("mode tag changed %d bytes, want exactly the version byte", diff)
-	}
-
-	// DecodeMode reports the tag; both archives decode to the same
-	// grammar (the mode describes how the grammar was built, not what
-	// it derives).
 	for _, tc := range []struct {
+		name string
 		buf  []byte
-		want Mode
-	}{{classic, ModeClassic}, {mr, ModeMaxRepeat}} {
-		dec, mode, err := DecodeMode(tc.buf)
+		want *hypergraph.Graph // nil: must be rejected as corrupt
+	}{
+		{"v1", enc, chain},
+		{"v2", withVersion(2), chain},
+		{"v2-sealed-fixture", fixture, rdf.Graph},
+		{"v0", withVersion(0), nil},
+		{"v3", withVersion(3), nil},
+		{"v127", withVersion(0x7F), nil},
+	} {
+		buf := tc.buf
+		if IsSealed(buf) {
+			if buf, err = Unseal(buf); err != nil {
+				t.Fatalf("%s: unseal: %v", tc.name, err)
+			}
+		}
+		dec, err := Decode(buf)
+		if tc.want == nil {
+			if !errors.Is(err, govern.ErrCorrupt) {
+				t.Fatalf("%s decoded: err=%v, want ErrCorrupt", tc.name, err)
+			}
+			continue
+		}
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if mode != tc.want {
-			t.Fatalf("DecodeMode reported mode %d, want %d", mode, tc.want)
+		if !iso.Isomorphic(tc.want, mustDerive(t, dec)) {
+			t.Fatalf("%s derives a graph not isomorphic to its input", tc.name)
 		}
-		if !hypergraph.EqualHyper(mustDerive(t, gram), mustDerive(t, dec)) {
-			t.Fatal("mode-tagged archive derives a different graph")
-		}
-	}
-
-	// An unknown version (the byte after the 4-byte magic) is rejected
-	// and classified under the corruption taxonomy.
-	bad := append([]byte(nil), classic...)
-	bad[4] = 0x7F
-	if _, _, err := DecodeMode(bad); !errors.Is(err, govern.ErrCorrupt) {
-		t.Fatalf("unknown version decoded: err=%v, want ErrCorrupt", err)
-	}
-	// EncodeMode refuses modes it has no version for.
-	if _, _, err := EncodeMode(gram, Mode(9)); err == nil {
-		t.Fatal("EncodeMode accepted an unknown mode")
 	}
 }

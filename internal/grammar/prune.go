@@ -149,31 +149,6 @@ func (g *Grammar) Prune() int {
 	return removed
 }
 
-// DropOrphans removes the listed rules — which must be unreferenced:
-// no edge of the start graph or of a surviving right-hand side may
-// carry their labels — and renumbers the survivors densely. The
-// compressor's max-repeat mode leaves fully chain-inlined ladder rules
-// behind as unreferenced orphans and drops them in one batch at the
-// end of the run: a mid-run drop would renumber nonterminal labels
-// under the digram machinery (whose keys and interned edges embed
-// them). A label that still has a reference panics in compactLabels,
-// which doubles as the invariant check.
-func (g *Grammar) DropOrphans(labels []hypergraph.Label) {
-	if len(labels) == 0 {
-		return
-	}
-	s := g.scr()
-	s.removed = buf.GrowClear(s.removed, len(g.rules))
-	for _, l := range labels {
-		i := g.ruleIndex(l)
-		if i < 0 || i >= len(g.rules) {
-			panic(fmt.Sprintf("grammar: DropOrphans: label %d has no rule", l))
-		}
-		s.removed[i] = true
-	}
-	g.compactLabels()
-}
-
 // countRefsInto adds h's nonterminal edge labels to the flat reference
 // counts.
 func (g *Grammar) countRefsInto(ref []int32, h *hypergraph.Graph) {
