@@ -3,85 +3,37 @@ package query
 import (
 	"context"
 	"fmt"
+	"slices"
 
+	"graphrepair/internal/buf"
 	"graphrepair/internal/hypergraph"
 )
 
-// skeletons returns the reachability skeletons, rule-indexed:
-// sk[ruleIdx(A)][i][j] = true iff the j-th external node of val(A) is
-// reachable from the i-th (Thm. 6). We store the reachability
-// relation restricted to external nodes directly (at most rank² bits)
-// instead of the paper's SCC cycle gadget — same semantics, and
-// linear for bounded rank (see DESIGN.md §5). The bottom-up pass runs
-// at most once per engine (behind a memo; eagerly under
-// EngineOptions.Precompute) and polls ctx between rules; a canceled
-// build is not memoized, so the next query retries.
-func (e *Engine) skeletons(ctx context.Context) ([][][]bool, error) {
-	return e.skel.get(func() ([][][]bool, error) {
-		skel := make([][][]bool, len(e.rules))
-		tk := ticker{ctx: ctx}
-		for _, nt := range e.bottomUp {
-			if err := tk.check("query: reachability skeletons"); err != nil {
-				return nil, err
-			}
-			rhs := e.rule(nt).rhs
-			adj := e.expandedAdjacency(rhs, skel)
-			ext := rhs.Ext()
-			sk := make([][]bool, len(ext))
-			for i, src := range ext {
-				sk[i] = make([]bool, len(ext))
-				reach := bfs(adj, src)
-				for j, dst := range ext {
-					if i != j && reach[dst] {
-						sk[i][j] = true
-					}
-				}
-			}
-			skel[e.ruleIdx(nt)] = sk
+// fold is the engine's one bottom-up pass, the paper's Sec. V view of
+// "compatible" functions (Courcelle–Mosbah): step summarizes one
+// right-hand side from the summaries of the nonterminals it
+// references, applied to every rule in ≤NT order and then to the
+// start graph as a rank-0 right-hand side. sums[ruleIdx(A)] is A's
+// summary, and sums[len(e.rules)] the start graph's. ctx is polled
+// (through tk) between rules.
+func fold[T any](e *Engine, tk *ticker, op string, step func(h *hypergraph.Graph, sums []T) (T, error)) ([]T, error) {
+	sums := make([]T, len(e.rules)+1)
+	for _, nt := range e.bottomUp {
+		if err := tk.check(op); err != nil {
+			return nil, err
 		}
-		return skel, nil
-	})
-}
-
-// expandedAdjacency builds the directed adjacency of a right-hand side
-// (or the start graph) with every nonterminal edge replaced by its
-// skeleton edges (from skel, which may still be under construction
-// during the bottom-up pass).
-func (e *Engine) expandedAdjacency(h *hypergraph.Graph, skel [][][]bool) map[hypergraph.NodeID][]hypergraph.NodeID {
-	adj := make(map[hypergraph.NodeID][]hypergraph.NodeID, h.NumNodes())
-	for id := range h.EdgesSeq() {
-		ed := h.Edge(id)
-		att := h.Att(id)
-		if e.g.IsTerminal(ed.Label) {
-			adj[att[0]] = append(adj[att[0]], att[1])
-			continue
+		s, err := step(e.rule(nt).rhs, sums)
+		if err != nil {
+			return nil, err
 		}
-		sk := skel[e.ruleIdx(ed.Label)]
-		for i := range sk {
-			for j := range sk[i] {
-				if sk[i][j] {
-					adj[att[i]] = append(adj[att[i]], att[j])
-				}
-			}
-		}
+		sums[e.ruleIdx(nt)] = s
 	}
-	return adj
-}
-
-func bfs(adj map[hypergraph.NodeID][]hypergraph.NodeID, src hypergraph.NodeID) map[hypergraph.NodeID]bool {
-	reach := map[hypergraph.NodeID]bool{src: true}
-	queue := []hypergraph.NodeID{src}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, u := range adj[v] {
-			if !reach[u] {
-				reach[u] = true
-				queue = append(queue, u)
-			}
-		}
+	s, err := step(e.g.Start, sums)
+	if err != nil {
+		return nil, err
 	}
-	return reach
+	sums[len(e.rules)] = s
+	return sums, nil
 }
 
 // nodeKey names a node of the path-expanded graph: the instance it
@@ -187,6 +139,56 @@ func (px *pathExpansion) forEachEdge(yield func(instKey string, h *hypergraph.Gr
 	}
 }
 
+// arcs reports the arcs edge id of h contributes to an expanded graph:
+// a terminal edge is one arc of length 1, a nonterminal edge one arc
+// per finite off-diagonal entry of its min-plus skeleton.
+func (e *Engine) arcs(h *hypergraph.Graph, id hypergraph.EdgeID, dskel [][][]int64, add func(a, b hypergraph.NodeID, w int64)) {
+	att := h.Att(id)
+	lab := h.Label(id)
+	if e.g.IsTerminal(lab) {
+		add(att[0], att[1], 1)
+		return
+	}
+	for i, row := range dskel[e.ruleIdx(lab)] {
+		for j, d := range row {
+			if i != j && d < maxDist {
+				add(att[i], att[j], d)
+			}
+		}
+	}
+}
+
+// expand builds the path-expanded graph of a (u, v) query into
+// s.wadj: the right-hand sides along both G-representations, glued
+// with instances shared along the common prefix, and every
+// unexpanded nonterminal edge replaced by its skeleton arcs. It
+// returns the canonical keys of u and v.
+func (e *Engine) expand(ctx context.Context, s *scratch, u, v int64) (src, dst nodeKey, err error) {
+	if err := e.locateInto(&s.loc1, u); err != nil {
+		return src, dst, err
+	}
+	if err := e.locateInto(&s.loc2, v); err != nil {
+		return src, dst, err
+	}
+	dskel, err := e.distSkeletons(ctx)
+	if err != nil {
+		return src, dst, err
+	}
+	px := e.expandPathsInto(s, &s.loc1, &s.loc2)
+	var inst string
+	add := func(a, b hypergraph.NodeID, w int64) {
+		ka := px.canonical(inst, a)
+		s.wadj[ka] = append(s.wadj[ka], arc[nodeKey]{px.canonical(inst, b), w})
+	}
+	px.forEachEdge(func(instKey string, h *hypergraph.Graph, id hypergraph.EdgeID) {
+		inst = instKey
+		e.arcs(h, id, dskel, add)
+	})
+	src = px.canonical(px.keyOf(&s.loc1), s.loc1.Node)
+	dst = px.canonical(px.keyOf(&s.loc2), s.loc2.Node)
+	return src, dst, nil
+}
+
 // Reachable reports whether derived node v is reachable from derived
 // node u in val(G), evaluated in O(|G|) on the grammar (Thm. 6): the
 // right-hand sides along both G-representations are glued into one
@@ -214,42 +216,12 @@ func (e *Engine) ReachableContext(ctx context.Context, u, v int64) (bool, error)
 	}
 	s := e.getScratch()
 	defer e.putScratch(s)
-	if err := e.locateInto(&s.loc1, u); err != nil {
-		return false, err
-	}
-	if err := e.locateInto(&s.loc2, v); err != nil {
-		return false, err
-	}
-	skel, err := e.skeletons(ctx)
+	src, dst, err := e.expand(ctx, s, u, v)
 	if err != nil {
 		return false, err
 	}
-	px := e.expandPathsInto(s, &s.loc1, &s.loc2)
-
-	adj := s.adj
-	px.forEachEdge(func(instKey string, h *hypergraph.Graph, id hypergraph.EdgeID) {
-		ed := h.Edge(id)
-		att := h.Att(id)
-		if e.g.IsTerminal(ed.Label) {
-			a := px.canonical(instKey, att[0])
-			b := px.canonical(instKey, att[1])
-			adj[a] = append(adj[a], b)
-			return
-		}
-		sk := skel[e.ruleIdx(ed.Label)]
-		for i := range sk {
-			for j := range sk[i] {
-				if sk[i][j] {
-					a := px.canonical(instKey, att[i])
-					b := px.canonical(instKey, att[j])
-					adj[a] = append(adj[a], b)
-				}
-			}
-		}
-	})
-
-	src := px.canonical(px.keyOf(&s.loc1), s.loc1.Node)
-	dst := px.canonical(px.keyOf(&s.loc2), s.loc2.Node)
+	// Plain BFS: a skeleton arc's length does not matter here, only
+	// that it is finite.
 	seen := s.seen
 	seen[src] = true
 	s.queue = append(s.queue[:0], src)
@@ -264,10 +236,10 @@ func (e *Engine) ReachableContext(ctx context.Context, u, v int64) (bool, error)
 			found = true
 			break
 		}
-		for _, y := range adj[x] {
-			if !seen[y] {
-				seen[y] = true
-				s.queue = append(s.queue, y)
+		for _, a := range s.wadj[x] {
+			if !seen[a.to] {
+				seen[a.to] = true
+				s.queue = append(s.queue, a.to)
 			}
 		}
 	}
@@ -290,212 +262,183 @@ func (e *Engine) ComponentCount() int64 {
 	return c
 }
 
-func (e *Engine) componentCount() int64 {
-	type info struct {
-		part     []int // partition: ext position → group id
-		enclosed int64 // components with no external node, incl. nested
-	}
-	infos := make(map[hypergraph.Label]info, e.g.NumRules())
+// compSum is ComponentCount's fold value for one right-hand side.
+type compSum struct {
+	part     []int // external position → group of positions connected in val(A)
+	enclosed int64 // components of val(A) with no external node
+}
 
-	analyze := func(h *hypergraph.Graph, get func(hypergraph.Label) info) (map[hypergraph.NodeID]hypergraph.NodeID, int64) {
-		parent := make(map[hypergraph.NodeID]hypergraph.NodeID, h.NumNodes())
-		var find func(hypergraph.NodeID) hypergraph.NodeID
-		find = func(x hypergraph.NodeID) hypergraph.NodeID {
-			for parent[x] != x {
-				parent[x] = parent[parent[x]]
-				x = parent[x]
-			}
-			return x
+func (e *Engine) componentCount() int64 {
+	var parent, nodes []hypergraph.NodeID
+	find := func(x hypergraph.NodeID) hypergraph.NodeID {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
 		}
-		union := func(a, b hypergraph.NodeID) {
-			ra, rb := find(a), find(b)
-			if ra != rb {
-				parent[ra] = rb
-			}
+		return x
+	}
+	union := func(a, b hypergraph.NodeID) { parent[find(a)] = find(b) }
+	sums, _ := fold(e, &ticker{}, "query: component count", func(h *hypergraph.Graph, sums []compSum) (compSum, error) {
+		parent = buf.Grow(parent, int(h.MaxNodeID())+1)
+		for v := range parent {
+			parent[v] = hypergraph.NodeID(v)
 		}
-		for _, v := range h.Nodes() {
-			parent[v] = v
-		}
-		var nested int64
+		var s compSum
 		for id := range h.EdgesSeq() {
-			ed := h.Edge(id)
 			att := h.Att(id)
-			if e.g.IsTerminal(ed.Label) {
+			lab := h.Label(id)
+			if e.g.IsTerminal(lab) {
 				union(att[0], att[1])
 				continue
 			}
-			in := get(ed.Label)
-			nested += in.enclosed
-			// Union attachment nodes in the same partition group.
-			first := map[int]hypergraph.NodeID{}
+			in := &sums[e.ruleIdx(lab)]
+			s.enclosed += in.enclosed
 			for pos, g := range in.part {
-				if f, ok := first[g]; ok {
-					union(f, att[pos])
-				} else {
-					first[g] = att[pos]
+				union(att[pos], att[slices.Index(in.part, g)])
+			}
+		}
+		ext := h.Ext()
+		s.part = make([]int, len(ext))
+		groups := 0
+		for i, x := range ext {
+			s.part[i] = groups
+			for j := range i {
+				if find(ext[j]) == find(x) {
+					s.part[i] = s.part[j]
+					break
 				}
 			}
-		}
-		roots := make(map[hypergraph.NodeID]hypergraph.NodeID, h.NumNodes())
-		for _, v := range h.Nodes() {
-			roots[v] = find(v)
-		}
-		return roots, nested
-	}
-
-	for _, nt := range e.bottomUp {
-		rhs := e.g.Rule(nt)
-		roots, nested := analyze(rhs, func(l hypergraph.Label) info { return infos[l] })
-		// Partition of ext positions; count root classes without ext.
-		groupOf := map[hypergraph.NodeID]int{}
-		part := make([]int, rhs.Rank())
-		for i, x := range rhs.Ext() {
-			r := roots[x]
-			g, ok := groupOf[r]
-			if !ok {
-				g = len(groupOf)
-				groupOf[r] = g
-			}
-			part[i] = g
-		}
-		var enclosed int64
-		seen := map[hypergraph.NodeID]bool{}
-		for _, v := range rhs.Nodes() {
-			r := roots[v]
-			if seen[r] {
-				continue
-			}
-			seen[r] = true
-			if _, hasExt := groupOf[r]; !hasExt {
-				enclosed++
+			if s.part[i] == groups {
+				groups++
 			}
 		}
-		infos[nt] = info{part: part, enclosed: enclosed + nested}
-	}
-
-	roots, nested := analyze(e.g.Start, func(l hypergraph.Label) info { return infos[l] })
-	seen := map[hypergraph.NodeID]bool{}
-	var top int64
-	for _, r := range roots {
-		if !seen[r] {
-			seen[r] = true
-			top++
+		nodes = h.AppendNodes(nodes[:0])
+		for _, v := range nodes {
+			if find(v) == v {
+				s.enclosed++
+			}
 		}
-	}
-	return top + nested
+		s.enclosed -= int64(groups)
+		return s, nil
+	})
+	return sums[len(e.rules)].enclosed
 }
 
 // DegreeStats returns the minimum and maximum degree over all nodes of
 // val(G) in the given direction, in one bottom-up pass (a CMSO-style
 // function query the paper lists as evaluable on the grammar). It
-// returns (0, 0) for a graph with no nodes. Each direction's pass
-// runs once per engine; subsequent calls return the memoized pair.
+// returns (0, 0) for a graph with no nodes. The pass covers all three
+// directions at once and runs once per engine; subsequent calls
+// return the memoized pairs.
 func (e *Engine) DegreeStats(dir Direction) (min, max int64, err error) {
 	if e.total == 0 {
 		return 0, 0, nil
 	}
-	mm, err := e.deg[dir].get(func() ([2]int64, error) {
-		return e.degreeStats(dir)
-	})
+	mm, err := e.deg.get(e.degreeStats)
 	if err != nil {
 		return 0, 0, err
 	}
-	return mm[0], mm[1], nil
+	return mm[dir][0], mm[dir][1], nil
 }
 
-func (e *Engine) degreeStats(dir Direction) ([2]int64, error) {
-	var min, max int64
-	type info struct {
-		extDeg   []int64 // degree contribution per attachment position
-		min, max int64   // over derived internal nodes
-		hasInt   bool
-	}
-	infos := make(map[hypergraph.Label]info, e.g.NumRules())
+// degSum is DegreeStats' fold value for one right-hand side; every
+// [3]int64 is indexed by Direction.
+type degSum struct {
+	ext      [][3]int64 // degree each external position gains inside val(A)
+	min, max [3]int64   // over the non-external nodes of val(A)
+	internal bool       // val(A) has a non-external node
+}
 
-	contrib := func(h *hypergraph.Graph) (map[hypergraph.NodeID]int64, int64, int64, bool) {
-		deg := make(map[hypergraph.NodeID]int64, h.NumNodes())
-		for _, v := range h.Nodes() {
-			deg[v] = 0
+// merge widens s's internal-degree range to cover [min, max].
+func (s *degSum) merge(min, max [3]int64) {
+	for d := range min {
+		if !s.internal || min[d] < s.min[d] {
+			s.min[d] = min[d]
 		}
-		var nmin, nmax int64
-		nested := false
+		if !s.internal || max[d] > s.max[d] {
+			s.max[d] = max[d]
+		}
+	}
+	s.internal = true
+}
+
+func (e *Engine) degreeStats() ([3][2]int64, error) {
+	var deg [][3]int64
+	var nodes []hypergraph.NodeID
+	sums, _ := fold(e, &ticker{}, "query: degree stats", func(h *hypergraph.Graph, sums []degSum) (degSum, error) {
+		deg = buf.GrowClear(deg, int(h.MaxNodeID())+1)
+		var s degSum
 		for id := range h.EdgesSeq() {
-			ed := h.Edge(id)
 			att := h.Att(id)
-			if e.g.IsTerminal(ed.Label) {
-				switch dir {
-				case Out:
-					deg[att[0]]++
-				case In:
-					deg[att[1]]++
-				case Both:
-					deg[att[0]]++
-					deg[att[1]]++
-				}
+			lab := h.Label(id)
+			if e.g.IsTerminal(lab) {
+				deg[att[0]][Out]++
+				deg[att[0]][Both]++
+				deg[att[1]][In]++
+				deg[att[1]][Both]++
 				continue
 			}
-			in := infos[ed.Label]
-			for pos, d := range in.extDeg {
-				deg[att[pos]] += d
+			in := &sums[e.ruleIdx(lab)]
+			for pos, d := range in.ext {
+				for dir, n := range d {
+					deg[att[pos]][dir] += n
+				}
 			}
-			if in.hasInt {
-				if !nested || in.min < nmin {
-					nmin = in.min
-				}
-				if !nested || in.max > nmax {
-					nmax = in.max
-				}
-				nested = true
+			if in.internal {
+				s.merge(in.min, in.max)
 			}
 		}
-		return deg, nmin, nmax, nested
+		s.ext = make([][3]int64, h.Rank())
+		for i, x := range h.Ext() {
+			s.ext[i] = deg[x]
+		}
+		nodes = h.AppendNodes(nodes[:0])
+		for _, v := range nodes {
+			if !h.IsExternal(v) {
+				s.merge(deg[v], deg[v])
+			}
+		}
+		return s, nil
+	})
+	s := sums[len(e.rules)]
+	if !s.internal {
+		return [3][2]int64{}, fmt.Errorf("query: DegreeStats on empty graph")
 	}
+	var mm [3][2]int64
+	for dir := range mm {
+		mm[dir] = [2]int64{s.min[dir], s.max[dir]}
+	}
+	return mm, nil
+}
 
-	for _, nt := range e.bottomUp {
-		rhs := e.g.Rule(nt)
-		deg, nmin, nmax, nested := contrib(rhs)
-		in := info{extDeg: make([]int64, rhs.Rank()), min: nmin, max: nmax, hasInt: nested}
-		for i, x := range rhs.Ext() {
-			in.extDeg[i] = deg[x]
-		}
-		for _, v := range rhs.Nodes() {
-			if rhs.IsExternal(v) {
+// LabelHistogram returns the number of terminal edges of val(G) per
+// label, in one bottom-up pass. The pass runs once per engine
+// (memoized); the returned map is a fresh copy the caller may mutate.
+func (e *Engine) LabelHistogram() map[hypergraph.Label]int64 {
+	h, _ := e.hist.get(func() (map[hypergraph.Label]int64, error) {
+		return e.labelHistogram(), nil
+	})
+	out := make(map[hypergraph.Label]int64, len(h))
+	for l, c := range h {
+		out[l] = c
+	}
+	return out
+}
+
+func (e *Engine) labelHistogram() map[hypergraph.Label]int64 {
+	sums, _ := fold(e, &ticker{}, "query: label histogram", func(h *hypergraph.Graph, sums []map[hypergraph.Label]int64) (map[hypergraph.Label]int64, error) {
+		out := make(map[hypergraph.Label]int64)
+		for id := range h.EdgesSeq() {
+			lab := h.Label(id)
+			if e.g.IsTerminal(lab) {
+				out[lab]++
 				continue
 			}
-			if !in.hasInt || deg[v] < in.min {
-				in.min = deg[v]
+			for l, c := range sums[e.ruleIdx(lab)] {
+				out[l] += c
 			}
-			if !in.hasInt || deg[v] > in.max {
-				in.max = deg[v]
-			}
-			in.hasInt = true
 		}
-		infos[nt] = in
-	}
-
-	deg, nmin, nmax, nested := contrib(e.g.Start)
-	first := true
-	for _, v := range e.g.Start.Nodes() {
-		d := deg[v]
-		if first || d < min {
-			min = d
-		}
-		if first || d > max {
-			max = d
-		}
-		first = false
-	}
-	if nested {
-		if first || nmin < min {
-			min = nmin
-		}
-		if first || nmax > max {
-			max = nmax
-		}
-		first = false
-	}
-	if first {
-		return [2]int64{}, fmt.Errorf("query: DegreeStats on empty graph")
-	}
-	return [2]int64{min, max}, nil
+		return out, nil
+	})
+	return sums[len(e.rules)]
 }

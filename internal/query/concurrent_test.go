@@ -61,7 +61,7 @@ func buildConcurrentWorkload(t *testing.T, e *Engine, r *RPQ, queries int, seed 
 // query surface — Reachable, Neighbors, Distance, RPQ matches, plus
 // the memoized aggregates — and every answer must equal the
 // single-threaded precomputed one. Before the compile/query split,
-// the lazy e.skel/e.dskel memoization wrote unsynchronized engine
+// the lazy skeleton memoization (e.dskel) wrote unsynchronized engine
 // fields and this test failed under -race on the first concurrent
 // Reachable+Distance pair.
 func TestConcurrentQueries(t *testing.T) {

@@ -2,118 +2,173 @@ package query
 
 import (
 	"context"
+	"fmt"
 
+	"graphrepair/internal/govern"
 	"graphrepair/internal/hypergraph"
 )
 
-// Distances generalize the paper's reachability skeletons (Thm. 6) to
-// the min-plus semiring: dsk(A)[i][j] is the length of a shortest
-// directed path from external node i to external node j inside
-// val(A), or maxDist if none exists. Shortest-path distance is a
-// "compatible" function in the sense of Sec. V (Courcelle–Mosbah
-// evaluations), so it admits the same one-pass bottom-up treatment.
+// The engine's one skeleton is the paper's Thm.-6 skeleton in the
+// min-plus semiring: dsk(A)[i][j] is the length of a shortest directed
+// path from external node i to external node j inside val(A), or
+// maxDist if none exists, so reachability is a finite entry.
+// Shortest-path distance is a "compatible" function in the sense of
+// Sec. V (Courcelle–Mosbah evaluations), so the skeletons come out of
+// the engine's one bottom-up fold.
 
 // Unreachable is returned by Distance when no directed path exists.
 const Unreachable = int64(-1)
 
+// maxDist is the "no path" entry of a skeleton. Finite lengths
+// saturate one below it (addDist), so "finite" stays exact even when a
+// grammar derives paths longer than int64 can count.
 const maxDist = int64(1) << 62
 
+// addDist adds two finite lengths, saturating at maxDist-1.
+func addDist(a, b int64) int64 {
+	return min(a+b, maxDist-1)
+}
+
 // distSkeletons returns the min-plus skeletons, rule-indexed,
-// computing them bottom-up on first use (eagerly under
-// EngineOptions.Precompute). The pass polls ctx between rules and is
-// memoized only on success (see skeletons).
+// computing them in one fold on first use (eagerly under
+// EngineOptions.Precompute). The pass polls ctx and is memoized only
+// on success, so a canceled build is retried by the next query.
 func (e *Engine) distSkeletons(ctx context.Context) ([][][]int64, error) {
 	return e.dskel.get(func() ([][][]int64, error) {
-		dskel := make([][][]int64, len(e.rules))
+		const op = "query: distance skeletons"
 		tk := ticker{ctx: ctx}
-		for _, nt := range e.bottomUp {
-			if err := tk.check("query: distance skeletons"); err != nil {
-				return nil, err
+		sr := search[hypergraph.NodeID]{dist: map[hypergraph.NodeID]int64{}}
+		adj := map[hypergraph.NodeID][]arc[hypergraph.NodeID]{}
+		add := func(a, b hypergraph.NodeID, w int64) {
+			adj[a] = append(adj[a], arc[hypergraph.NodeID]{b, w})
+		}
+		return fold(e, &tk, op, func(h *hypergraph.Graph, dskel [][][]int64) ([][]int64, error) {
+			ext := h.Ext()
+			if len(ext) == 0 {
+				return nil, nil // the start graph has no external nodes
 			}
-			rhs := e.rule(nt).rhs
-			adj := e.expandedWeighted(rhs, dskel)
-			ext := rhs.Ext()
+			clear(adj)
+			for id := range h.EdgesSeq() {
+				e.arcs(h, id, dskel, add)
+			}
 			sk := make([][]int64, len(ext))
 			for i, src := range ext {
-				dist := dijkstra(adj, src)
-				row := make([]int64, len(ext))
+				if err := sr.dijkstra(&tk, op, adj, src, nil); err != nil {
+					return nil, err
+				}
+				sk[i] = make([]int64, len(ext))
 				for j, dst := range ext {
-					if d, ok := dist[dst]; ok {
-						row[j] = d
-					} else {
-						row[j] = maxDist
+					sk[i][j] = maxDist
+					if d, ok := sr.dist[dst]; ok {
+						sk[i][j] = d
 					}
 				}
-				sk[i] = row
 			}
-			dskel[e.ruleIdx(nt)] = sk
-		}
-		return dskel, nil
+			return sk, nil
+		})
 	})
 }
 
-type wEdge struct {
-	to hypergraph.NodeID
+// arc is an edge of an expanded graph: a terminal edge (length 1) or
+// a finite skeleton entry (its min-plus length).
+type arc[K comparable] struct {
+	to K
 	w  int64
 }
 
-// expandedWeighted builds the weighted adjacency of a right-hand side:
-// terminal edges have weight 1, nonterminal edges contribute their
-// min-plus skeleton entries (from dskel, which may still be under
-// construction during the bottom-up pass).
-func (e *Engine) expandedWeighted(h *hypergraph.Graph, dskel [][][]int64) map[hypergraph.NodeID][]wEdge {
-	adj := make(map[hypergraph.NodeID][]wEdge, h.NumNodes())
-	for id := range h.EdgesSeq() {
-		ed := h.Edge(id)
-		att := h.Att(id)
-		if e.g.IsTerminal(ed.Label) {
-			adj[att[0]] = append(adj[att[0]], wEdge{att[1], 1})
-			continue
-		}
-		sk := dskel[e.ruleIdx(ed.Label)]
-		for i := range sk {
-			for j, d := range sk[i] {
-				if i != j && d < maxDist {
-					adj[att[i]] = append(adj[att[i]], wEdge{att[j], d})
-				}
-			}
-		}
-	}
-	return adj
+// search is the reusable state of the engine's one Dijkstra, generic
+// over the node key: tentative distances, and a binary min-heap of
+// (distance, node) entries in which a node may appear more than once
+// (entries older than dist are skipped on pop).
+type search[K comparable] struct {
+	dist map[K]int64
+	heap []heapItem[K]
 }
 
-// dijkstra runs a simple Dijkstra (small graphs: right-hand sides and
-// path expansions), returning finite distances only.
-func dijkstra(adj map[hypergraph.NodeID][]wEdge, src hypergraph.NodeID) map[hypergraph.NodeID]int64 {
-	dist := map[hypergraph.NodeID]int64{src: 0}
-	done := map[hypergraph.NodeID]bool{}
-	for {
-		// Extract-min by scan; rhs graphs are tiny.
-		var u hypergraph.NodeID
-		best := int64(-1)
-		for v, d := range dist {
-			if !done[v] && (best < 0 || d < best) {
-				best = d
-				u = v
-			}
+type heapItem[K comparable] struct {
+	d int64
+	k K
+}
+
+// dijkstra computes shortest-path lengths from src over adj into
+// s.dist. With dst non-nil it stops as soon as *dst is settled;
+// otherwise s.dist ends up holding the exact distance of every node
+// reachable from src. ctx is polled (through tk) at every extraction.
+func (s *search[K]) dijkstra(tk *ticker, op string, adj map[K][]arc[K], src K, dst *K) error {
+	clear(s.dist)
+	s.heap = s.heap[:0]
+	s.dist[src] = 0
+	s.push(heapItem[K]{0, src})
+	for len(s.heap) > 0 {
+		if err := tk.check(op); err != nil {
+			return err
 		}
-		if best < 0 {
-			return dist
+		it := s.pop()
+		if it.d > s.dist[it.k] {
+			continue
 		}
-		done[u] = true
-		for _, e := range adj[u] {
-			nd := best + e.w
-			if d, ok := dist[e.to]; !ok || nd < d {
-				dist[e.to] = nd
+		if dst != nil && it.k == *dst {
+			return nil
+		}
+		for _, a := range adj[it.k] {
+			nd := addDist(it.d, a.w)
+			if d, ok := s.dist[a.to]; !ok || nd < d {
+				s.dist[a.to] = nd
+				s.push(heapItem[K]{nd, a.to})
 			}
 		}
 	}
+	return nil
+}
+
+func (s *search[K]) push(it heapItem[K]) {
+	s.heap = append(s.heap, it)
+	h := s.heap
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[p].d <= it.d {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = it
+}
+
+func (s *search[K]) pop() heapItem[K] {
+	h := s.heap
+	top, last := h[0], h[len(h)-1]
+	h = h[:len(h)-1]
+	s.heap = h
+	if len(h) == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1].d < h[c].d {
+			c++
+		}
+		if last.d <= h[c].d {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = last
+	return top
 }
 
 // Distance returns the length of a shortest directed path from derived
 // node u to derived node v in val(G), or Unreachable. Like Reachable
 // it works on the path-expanded graph with (min-plus) skeletons
 // summarizing unexpanded subtrees, in O(|G|·rank²) plus the expansion.
+// A shortest path too long to count below 2^62-1 is reported as a
+// *govern.LimitError (errors.Is(err, govern.ErrLimit)).
 func (e *Engine) Distance(u, v int64) (int64, error) {
 	return e.DistanceContext(context.Background(), u, v)
 }
@@ -133,120 +188,24 @@ func (e *Engine) DistanceContext(ctx context.Context, u, v int64) (int64, error)
 	}
 	s := e.getScratch()
 	defer e.putScratch(s)
-	if err := e.locateInto(&s.loc1, u); err != nil {
-		return 0, err
-	}
-	if err := e.locateInto(&s.loc2, v); err != nil {
-		return 0, err
-	}
-	dskel, err := e.distSkeletons(ctx)
+	src, dst, err := e.expand(ctx, s, u, v)
 	if err != nil {
 		return 0, err
 	}
-	px := e.expandPathsInto(s, &s.loc1, &s.loc2)
-
-	adj := s.wadj
-	add := func(a, b nodeKey, w int64) {
-		adj[a] = append(adj[a], wnk{b, w})
-	}
-	px.forEachEdge(func(instKey string, h *hypergraph.Graph, id hypergraph.EdgeID) {
-		ed := h.Edge(id)
-		att := h.Att(id)
-		if e.g.IsTerminal(ed.Label) {
-			add(px.canonical(instKey, att[0]), px.canonical(instKey, att[1]), 1)
-			return
-		}
-		sk := dskel[e.ruleIdx(ed.Label)]
-		for i := range sk {
-			for j, d := range sk[i] {
-				if i != j && d < maxDist {
-					add(px.canonical(instKey, att[i]), px.canonical(instKey, att[j]), d)
-				}
-			}
-		}
-	})
-
-	src := px.canonical(px.keyOf(&s.loc1), s.loc1.Node)
-	dst := px.canonical(px.keyOf(&s.loc2), s.loc2.Node)
-	// Dijkstra over nodeKeys, frontier maps pooled in the scratch.
-	dist, done := s.dist, s.done
-	dist[src] = 0
 	tk := ticker{ctx: ctx}
-	result := Unreachable
-	for {
-		if err := tk.check("query: distance"); err != nil {
-			return 0, err
-		}
-		var u nodeKey
-		best := int64(-1)
-		for n, d := range dist {
-			if !done[n] && (best < 0 || d < best) {
-				best = d
-				u = n
-			}
-		}
-		if best < 0 {
-			break
-		}
-		if u == dst {
-			result = best
-			break
-		}
-		done[u] = true
-		for _, e := range adj[u] {
-			nd := best + e.w
-			if d, ok := dist[e.to]; !ok || nd < d {
-				dist[e.to] = nd
-			}
-		}
+	if err := s.sr.dijkstra(&tk, "query: distance", s.wadj, src, &dst); err != nil {
+		return 0, err
+	}
+	result, ok := s.sr.dist[dst]
+	switch {
+	case !ok:
+		result = Unreachable
+	case result == maxDist-1:
+		return 0, fmt.Errorf("query: distance %d→%d: %w", u, v,
+			&govern.LimitError{Resource: "path length", Demanded: result, Allowed: maxDist - 2})
 	}
 	if e.cache != nil {
 		e.cache.put(key, cacheVal{n: result})
 	}
 	return result, nil
-}
-
-// Diameter-style aggregate: LabelHistogram returns the number of
-// terminal edges of val(G) per label, in one bottom-up pass. The pass
-// runs once per engine (memoized); the returned map is a fresh copy
-// the caller may mutate.
-func (e *Engine) LabelHistogram() map[hypergraph.Label]int64 {
-	h, _ := e.hist.get(func() (map[hypergraph.Label]int64, error) {
-		return e.labelHistogram(), nil
-	})
-	out := make(map[hypergraph.Label]int64, len(h))
-	for l, c := range h {
-		out[l] = c
-	}
-	return out
-}
-
-func (e *Engine) labelHistogram() map[hypergraph.Label]int64 {
-	per := make(map[hypergraph.Label]map[hypergraph.Label]int64, e.g.NumRules())
-	for _, nt := range e.bottomUp {
-		h := make(map[hypergraph.Label]int64)
-		for id := range e.g.Rule(nt).EdgesSeq() {
-			lab := e.g.Rule(nt).Label(id)
-			if e.g.IsTerminal(lab) {
-				h[lab]++
-			} else {
-				for l, c := range per[lab] {
-					h[l] += c
-				}
-			}
-		}
-		per[nt] = h
-	}
-	out := make(map[hypergraph.Label]int64)
-	for id := range e.g.Start.EdgesSeq() {
-		lab := e.g.Start.Label(id)
-		if e.g.IsTerminal(lab) {
-			out[lab]++
-		} else {
-			for l, c := range per[lab] {
-				out[l] += c
-			}
-		}
-	}
-	return out
 }

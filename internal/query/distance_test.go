@@ -1,10 +1,12 @@
 package query
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
 	"graphrepair/internal/core"
+	"graphrepair/internal/govern"
 	"graphrepair/internal/hypergraph"
 )
 
@@ -146,5 +148,32 @@ func TestLabelHistogram(t *testing.T) {
 		if got[l] != c {
 			t.Fatalf("label %d: %d vs %d", l, got[l], c)
 		}
+	}
+}
+
+// TestDistanceSaturates pins the min-plus arithmetic at the top of its
+// range: a 2^61-long path is exact, and a 2^62-long one stays finite
+// (Reachable) while Distance reports it as a limit, never as
+// Unreachable and never as a wrapped negative length.
+func TestDistanceSaturates(t *testing.T) {
+	e, err := New(doublingGrammar(61))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, err := e.Distance(1, 2); err != nil || d != int64(1)<<61 {
+		t.Fatalf("61 doubling rules: Distance(1,2) = %d, %v; want 2^61", d, err)
+	}
+	e, err = New(doublingGrammar(62))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := e.Reachable(1, 2); err != nil || !ok {
+		t.Fatalf("62 doubling rules: Reachable(1,2) = %v, %v; want true", ok, err)
+	}
+	if d, err := e.Distance(1, 2); !errors.Is(err, govern.ErrLimit) {
+		t.Fatalf("62 doubling rules: Distance(1,2) = %d, %v; want an ErrLimit error", d, err)
+	}
+	if d, err := e.Distance(2, 1); err != nil || d != Unreachable {
+		t.Fatalf("62 doubling rules: Distance(2,1) = %d, %v; want Unreachable", d, err)
 	}
 }

@@ -5,11 +5,13 @@
 //     G-representation, a path through the derivation (O(log ℓ + h)).
 //   - Neighborhood queries (Prop. 4): in/out neighbors of a node in
 //     O(log ℓ + n·h) for n neighbors.
-//   - Reachability (Thm. 6): (s,t)-reachability in O(|G|) via
-//     per-nonterminal skeleton graphs.
+//   - Reachability and distance (Thm. 6): (s,t)-queries in O(|G|)
+//     via per-nonterminal skeletons. The engine keeps one skeleton,
+//     the min-plus matrix of shortest path lengths between a rule's
+//     external nodes; reachability is a finite entry.
 //   - Speed-up queries evaluated in one bottom-up pass: number of
 //     weakly connected components, minimum/maximum degree, node and
-//     edge counts.
+//     edge counts, the label histogram.
 //
 // The paper describes these algorithms but reports they were not
 // implemented; this package implements and tests all of them.
@@ -20,19 +22,20 @@
 // query from any number of goroutines (DESIGN.md §13). Construction
 // is the compile phase — it derives every table the node numbering
 // of val(G) depends on into dense rule-indexed slices and leaves the
-// result immutable. Per-nonterminal summary layers (reachability
-// skeletons, min-plus distance skeletons, component/degree/label
-// aggregates) are memoized behind build-once guards, computed either
-// eagerly (EngineOptions.Precompute) or on the first query that needs
-// them; once built they are shared, lock-free, by all readers. All
-// per-query mutable state lives in pooled scratch structs, and an
-// optional bounded LRU (EngineOptions.CacheSize) short-circuits
-// repeated Reachable/Distance/Neighbors calls.
+// result immutable. Per-nonterminal summary layers (the min-plus
+// skeletons, the component/degree/label aggregates) are instances of
+// one bottom-up fold (analysis.go), memoized behind build-once guards
+// and computed either eagerly (EngineOptions.Precompute) or on the
+// first query that needs them; once built they are shared, lock-free,
+// by all readers. All per-query mutable state lives in pooled scratch
+// structs, and an optional bounded LRU (EngineOptions.CacheSize)
+// short-circuits repeated Reachable/Distance/Neighbors calls.
 package query
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -47,11 +50,11 @@ import (
 // wants Precompute (pay the bottom-up passes at load time, before
 // traffic) and a CacheSize matched to its hot query set.
 type EngineOptions struct {
-	// Precompute builds every memo layer (reachability skeletons,
-	// min-plus distance skeletons, component count, degree stats,
-	// label histogram) during construction, so no query ever runs a
-	// bottom-up pass. Construction respects the context passed to
-	// NewWithOptions/NewContext.
+	// Precompute builds every memo layer (the min-plus skeletons
+	// behind Reachable and Distance, component count, degree stats
+	// for all three directions, label histogram) during construction,
+	// so no query ever runs a bottom-up pass. Construction respects
+	// the context passed to NewWithOptions/NewContext.
 	Precompute bool
 	// CacheSize bounds the query-result LRU in entries; 0 disables
 	// caching. Cached entries are keyed on (operation, arguments), so
@@ -88,10 +91,9 @@ type Engine struct {
 
 	// Memo layers: computed once (under a lock, retried if canceled),
 	// then shared lock-free. See memo.go for the safety argument.
-	skel  memo[[][][]bool]  // reachability skeletons per rule
 	dskel memo[[][][]int64] // min-plus skeletons per rule
 	comp  memo[int64]       // weakly connected component count
-	deg   [3]memo[[2]int64] // {min, max} degree per Direction
+	deg   memo[[3][2]int64] // {min, max} degree per Direction
 	hist  memo[map[hypergraph.Label]int64]
 
 	pool  sync.Pool // *scratch; see scratch.go
@@ -208,7 +210,7 @@ func NewWithOptions(ctx context.Context, g *grammar.Grammar, opts EngineOptions)
 			if lab := rhs.Label(id); !g.IsTerminal(lab) {
 				ri.ntEdges = append(ri.ntEdges, id)
 				ri.ntOffsets = append(ri.ntOffsets, off)
-				off += e.count(lab)
+				off = govern.SatAdd(off, e.count(lab))
 			}
 		}
 		ri.derived = off
@@ -247,9 +249,15 @@ func NewWithOptions(ctx context.Context, g *grammar.Grammar, opts EngineOptions)
 	for _, id := range nts {
 		e.topEdges = append(e.topEdges, id)
 		e.topBase = append(e.topBase, base)
-		base += e.count(s.Label(id))
+		base = govern.SatAdd(base, e.count(s.Label(id)))
 	}
 	e.total = base
+	if e.total == math.MaxInt64 {
+		// Derived IDs are int64; a saturated total means val(G) has
+		// too many nodes to number.
+		return nil, fmt.Errorf("query: %w", &govern.LimitError{
+			Resource: "derived nodes", Demanded: math.MaxInt64, Allowed: math.MaxInt64 - 1})
+	}
 
 	// Scrub the incidence chains of every graph the queries will
 	// traverse: pruning leaves tombstoned slots behind, and the first
@@ -274,17 +282,13 @@ func NewWithOptions(ctx context.Context, g *grammar.Grammar, opts EngineOptions)
 	}
 
 	if opts.Precompute {
-		if _, err := e.skeletons(ctx); err != nil {
-			return nil, err
-		}
 		if _, err := e.distSkeletons(ctx); err != nil {
 			return nil, err
 		}
 		e.ComponentCount()
-		for _, dir := range []Direction{Out, In, Both} {
-			if _, _, err := e.DegreeStats(dir); err != nil {
-				return nil, err
-			}
+		// One degree pass memoizes all three directions.
+		if _, _, err := e.DegreeStats(Out); err != nil {
+			return nil, err
 		}
 		e.LabelHistogram()
 	}

@@ -2,6 +2,7 @@ package query
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -17,12 +18,17 @@ import (
 // (or cleanly rejected), never crash the engine.
 const fuzzQueryBudget = 64 << 20
 
+// fuzzDeriveLimits bounds the derived graphs FuzzQuery materializes to
+// check answers against plain BFS.
+var fuzzDeriveLimits = govern.Limits{MaxNodes: 4096, MaxEdges: 1 << 16}
+
 // FuzzQuery feeds arbitrary bytes through the decoder and, whenever
 // they happen to be a valid grammar, runs the full query surface —
 // engine construction, reachability, neighborhoods, distance, and a
-// regular path query — under a 100ms deadline. The property under
-// test is purely negative: the engine never panics and never hangs on
-// adversarial-but-valid grammars; query results themselves are free.
+// regular path query — under a 100ms deadline. The engine must never
+// panic or hang on adversarial-but-valid grammars; Reachable must hold
+// exactly when Distance finds a path; and when val(G) is small enough
+// to derive, Reachable and Distance must equal BFS on it.
 func FuzzQuery(f *testing.F) {
 	chain := hypergraph.New(33)
 	for i := 1; i <= 32; i++ {
@@ -64,14 +70,17 @@ func FuzzQuery(f *testing.F) {
 			t.Skip()
 		}
 		u, v := int64(1), n
-		if _, err := e.ReachableContext(ctx, u, v); err != nil && ctx.Err() == nil {
-			t.Fatalf("Reachable on valid grammar: %v", err)
+		var derived *hypergraph.Graph
+		if n <= fuzzDeriveLimits.MaxNodes && e.NumEdges() <= fuzzDeriveLimits.MaxEdges {
+			if derived, err = g.DeriveContext(ctx, fuzzDeriveLimits); err != nil && ctx.Err() == nil {
+				t.Fatalf("Derive within limits: %v", err)
+			}
+		}
+		for _, p := range [][2]int64{{u, v}, {v, u}} {
+			checkFuzzPair(ctx, t, e, derived, p[0], p[1])
 		}
 		if _, err := e.NeighborsContext(ctx, u, Both); err != nil && ctx.Err() == nil {
 			t.Fatalf("Neighbors on valid grammar: %v", err)
-		}
-		if _, err := e.DistanceContext(ctx, u, v); err != nil && ctx.Err() == nil {
-			t.Fatalf("Distance on valid grammar: %v", err)
 		}
 		rpq, err := e.NewRPQContext(ctx, StarNFA(1, 2))
 		if err == nil {
@@ -82,4 +91,43 @@ func FuzzQuery(f *testing.F) {
 			t.Fatalf("NewRPQ on valid grammar: %v", err)
 		}
 	})
+}
+
+// checkFuzzPair asserts Reachable(u,v) ⇔ Distance(u,v) finds a path
+// and, when derived is non-nil, that both equal BFS on it. Answers cut
+// short by the fuzz deadline are not checked.
+func checkFuzzPair(ctx context.Context, t *testing.T, e *Engine, derived *hypergraph.Graph, u, v int64) {
+	t.Helper()
+	reach, err := e.ReachableContext(ctx, u, v)
+	if err != nil {
+		if ctx.Err() == nil {
+			t.Fatalf("Reachable(%d,%d) on valid grammar: %v", u, v, err)
+		}
+		return
+	}
+	d, err := e.DistanceContext(ctx, u, v)
+	switch {
+	case err != nil && ctx.Err() != nil:
+		return
+	case errors.Is(err, govern.ErrLimit):
+		if !reach {
+			t.Fatalf("Distance(%d,%d) saturated but Reachable is false", u, v)
+		}
+		return
+	case err != nil:
+		t.Fatalf("Distance(%d,%d) on valid grammar: %v", u, v, err)
+	}
+	if reach != (d != Unreachable) {
+		t.Fatalf("Reachable(%d,%d) = %v but Distance = %d", u, v, reach, d)
+	}
+	if derived == nil {
+		return
+	}
+	var rs hypergraph.ReachScratch
+	if want := derived.ReachableWith(&rs, hypergraph.NodeID(u), hypergraph.NodeID(v)); reach != want {
+		t.Fatalf("Reachable(%d,%d) = %v, derived BFS says %v", u, v, reach, want)
+	}
+	if want := bruteDistance(derived, hypergraph.NodeID(u), hypergraph.NodeID(v)); d != want {
+		t.Fatalf("Distance(%d,%d) = %d, derived BFS says %d", u, v, d, want)
+	}
 }

@@ -1,10 +1,12 @@
 package query
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
 	"graphrepair/internal/core"
+	"graphrepair/internal/govern"
 	"graphrepair/internal/grammar"
 	"graphrepair/internal/hypergraph"
 	"graphrepair/internal/order"
@@ -298,5 +300,42 @@ func TestStarQueries(t *testing.T) {
 	mn, mx, err := e.DegreeStats(Both)
 	if err != nil || mn != 1 || mx != int64(n) {
 		t.Fatalf("degree stats (%d,%d), want (1,%d)", mn, mx, n)
+	}
+}
+
+// doublingGrammar returns the k-rule grammar A_1 → two terminal
+// edges 1→3→2, A_i → A_{i-1}(1,3) A_{i-1}(3,2), with start graph
+// A_k(1,2): about 3k edges deriving 2^k+1 nodes and a single path of
+// length 2^k from node 1 to node 2.
+func doublingGrammar(k int) *grammar.Grammar {
+	start := hypergraph.New(2)
+	g := grammar.New(1, start)
+	prev := hypergraph.Label(1)
+	for i := 0; i < k; i++ {
+		rhs := hypergraph.New(3)
+		rhs.AddEdge(prev, 1, 3)
+		rhs.AddEdge(prev, 3, 2)
+		rhs.SetExt(1, 2)
+		prev = g.AddRule(rhs)
+	}
+	start.AddEdge(prev, 1, 2)
+	return g
+}
+
+func TestEngineRejectsDerivedSizeOverflow(t *testing.T) {
+	e, err := New(doublingGrammar(62))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := e.NumNodes(), int64(1)<<62+1; got != want {
+		t.Fatalf("62 doubling rules: NumNodes = %d, want %d", got, want)
+	}
+	e, err = New(doublingGrammar(63))
+	if err == nil {
+		t.Fatalf("63 doubling rules (2^63+1 nodes) compiled, NumNodes = %d", e.NumNodes())
+	}
+	var le *govern.LimitError
+	if !errors.As(err, &le) || !errors.Is(err, govern.ErrLimit) {
+		t.Fatalf("error %v is not a *govern.LimitError", err)
 	}
 }

@@ -95,16 +95,15 @@ func (e *Engine) NewRPQ(nfa *NFA) *RPQ {
 // skeleton precomputation polls ctx between rules, bounding the
 // O(|G|·Q²) preparation under a deadline.
 func (e *Engine) NewRPQContext(ctx context.Context, nfa *NFA) (*RPQ, error) {
-	r := &RPQ{e: e, nfa: nfa, skel: make([][][]bool, len(e.rules))}
+	r := &RPQ{e: e, nfa: nfa}
 	Q := nfa.States
 	tk := ticker{ctx: ctx}
-	for _, nt := range e.bottomUp {
-		if err := tk.check("query: rpq skeletons"); err != nil {
-			return nil, err
+	skel, err := fold(e, &tk, "query: rpq skeletons", func(h *hypergraph.Graph, skel [][][]bool) ([][]bool, error) {
+		ext := h.Ext()
+		if len(ext) == 0 {
+			return nil, nil // the start graph has no external nodes
 		}
-		rhs := e.rule(nt).rhs
-		ext := rhs.Ext()
-		adj := r.productAdjacency(rhs)
+		adj := r.productAdjacency(h, skel)
 		sk := make([][]bool, len(ext)*Q)
 		for i, src := range ext {
 			for q := 0; q < Q; q++ {
@@ -120,8 +119,12 @@ func (e *Engine) NewRPQContext(ctx context.Context, nfa *NFA) (*RPQ, error) {
 				sk[i*Q+q] = row
 			}
 		}
-		r.skel[e.ruleIdx(nt)] = sk
+		return sk, nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	r.skel = skel
 	return r, nil
 }
 
@@ -130,10 +133,11 @@ type prodNode struct {
 	q int
 }
 
-// productAdjacency builds the product of a right-hand side (or start
-// graph) with the NFA: terminal edges advance the automaton, nested
-// nonterminal edges contribute their product skeletons.
-func (r *RPQ) productAdjacency(h *hypergraph.Graph) map[prodNode][]prodNode {
+// productAdjacency builds the product of a right-hand side with the
+// NFA: terminal edges advance the automaton, nested nonterminal edges
+// contribute their product skeletons (from skel, still under
+// construction during the fold).
+func (r *RPQ) productAdjacency(h *hypergraph.Graph, skel [][][]bool) map[prodNode][]prodNode {
 	Q := r.nfa.States
 	adj := map[prodNode][]prodNode{}
 	for id := range h.EdgesSeq() {
@@ -148,7 +152,7 @@ func (r *RPQ) productAdjacency(h *hypergraph.Graph) map[prodNode][]prodNode {
 			}
 			continue
 		}
-		sk := r.skel[r.e.ruleIdx(ed.Label)]
+		sk := skel[r.e.ruleIdx(ed.Label)]
 		for iq := range sk {
 			i, q := iq/Q, iq%Q
 			for jp, ok := range sk[iq] {

@@ -3,7 +3,7 @@ package query
 import "graphrepair/internal/hypergraph"
 
 // scratch is all the per-call mutable state of the query phase: BFS
-// frontiers, expanded-adjacency maps, G-representation paths, the
+// frontiers, the path-expanded graph, G-representation paths, the
 // neighbor accumulation buffer. The compiled Engine itself is
 // immutable, so one scratch per in-flight query is the only mutable
 // memory a query touches; scratches are recycled through Engine.pool,
@@ -19,26 +19,17 @@ type scratch struct {
 
 	px pathExpansion
 
-	// Unweighted BFS (Reachable).
-	adj   map[nodeKey][]nodeKey
+	// The path-expanded graph (Reachable, Distance) and the search
+	// state over it.
+	wadj  map[nodeKey][]arc[nodeKey]
 	seen  map[nodeKey]bool
 	queue []nodeKey
-
-	// Min-plus (Distance).
-	wadj map[nodeKey][]wnk
-	dist map[nodeKey]int64
-	done map[nodeKey]bool
+	sr    search[nodeKey]
 
 	// NFA product (RPQ.Matches).
 	padj   map[pk][]pk
 	pseen  map[pk]bool
 	pqueue []pk
-}
-
-// wnk is a weighted arc of the path-expanded graph.
-type wnk struct {
-	to nodeKey
-	w  int64
 }
 
 // pk is a node of the path-expanded graph paired with an NFA state.
@@ -53,11 +44,9 @@ func newScratch() *scratch {
 			instances: map[string]instance{},
 			onPath:    map[string]map[hypergraph.EdgeID]bool{},
 		},
-		adj:   map[nodeKey][]nodeKey{},
+		wadj:  map[nodeKey][]arc[nodeKey]{},
 		seen:  map[nodeKey]bool{},
-		wadj:  map[nodeKey][]wnk{},
-		dist:  map[nodeKey]int64{},
-		done:  map[nodeKey]bool{},
+		sr:    search[nodeKey]{dist: map[nodeKey]int64{}},
 		padj:  map[pk][]pk{},
 		pseen: map[pk]bool{},
 	}
@@ -83,11 +72,10 @@ func (e *Engine) putScratch(s *scratch) {
 	s.pqueue = s.pqueue[:0]
 	clear(s.px.instances)
 	clear(s.px.onPath)
-	clear(s.adj)
-	clear(s.seen)
 	clear(s.wadj)
-	clear(s.dist)
-	clear(s.done)
+	clear(s.seen)
+	clear(s.sr.dist)
+	s.sr.heap = s.sr.heap[:0]
 	clear(s.padj)
 	clear(s.pseen)
 	e.pool.Put(s)

@@ -367,7 +367,8 @@ func retryAfter(queueWait time.Duration) string {
 
 // Serve answers HTTP on ln until ctx is done, then drains: in-flight
 // requests complete (bounded by a 5s grace), new connections are
-// refused, and a clean shutdown returns nil.
+// refused, and a clean shutdown returns nil. Shutdown past the grace
+// is an error only if a query handler was still running.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	srv := &http.Server{Handler: s.Handler()}
 	errc := make(chan error, 1)
@@ -379,7 +380,14 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(sctx); err != nil {
-			return err
+			// net/http counts a connection that never sent a request
+			// as busy until it is 5s old, as long as the grace, so a
+			// client's spare pre-dialed connection can hold Shutdown
+			// to its deadline with nothing left to drain.
+			if s.admit.inflight() > 0 {
+				return err
+			}
+			srv.Close()
 		}
 		if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 			return err

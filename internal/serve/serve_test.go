@@ -454,6 +454,37 @@ func TestShutdownDrain(t *testing.T) {
 	}
 }
 
+// TestShutdownIdleConnection pins that a connection which never sends
+// a request does not fail shutdown: net/http counts it as busy until
+// it is 5s old, as long as the drain grace, so Shutdown hits its
+// deadline; with no handler running, Serve must still return nil.
+func TestShutdownIdleConnection(t *testing.T) {
+	s := loadedServer(t, Config{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(ctx, ln) }()
+	idle, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	// The listener accepts in order, so once a later connection has
+	// been served the idle one has been accepted too.
+	resp, err := http.Get("http://" + ln.Addr().String() + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	cancel()
+	if err := <-served; err != nil {
+		t.Fatalf("Serve returned %v with only an idle connection open, want nil", err)
+	}
+}
+
 // TestWriteJSONFailure pins the writeJSON contract: an unencodable
 // value becomes a clean 500 (status set before any body byte) and is
 // counted, never a half-written 200.
