@@ -10,14 +10,15 @@
 //	benchall -exp fig13 -copies 4096
 //	benchall -perf -json BENCH_1.json   # machine-readable perf point
 //	benchall -perf -perfscale 1 -workers 1,4   # full-scale parallel sweep
-//	benchall -perf -servegoroutines 1,4 # add shared-engine query serving rows
+//	benchall -perf -perfscale 1 -count 3 -json BENCH_17.json   # 3 samples per point
 //
 // Output is plain text, one table per experiment, with the paper's
 // qualitative findings attached as notes for comparison. With -perf
 // the tool instead measures the compressor on the medium generator
-// graphs (compression ratio, wall time, bytes/op, allocs/op) and, via
-// -json, records the result as a trajectory point for regression
-// tracking across PRs.
+// graphs (compression ratio, wall time, bytes/op, allocs/op; with
+// -count N the median and min/max of N samples) and, via -json,
+// records the result as a trajectory point for regression tracking
+// across PRs.
 package main
 
 import (
@@ -41,7 +42,7 @@ func main() {
 		perfScale = flag.Int("perfscale", 64, "dataset size divisor for -perf (64 matches go test -bench BenchmarkCompress)")
 		jsonPath  = flag.String("json", "", "with -perf: also write the report as JSON to this path")
 		workersCS = flag.String("workers", "0", "with -perf: comma-separated compression worker counts to measure (e.g. 1,4)")
-		serveCS   = flag.String("servegoroutines", "", "with -perf: also measure concurrent query serving at these goroutine counts (e.g. 1,4)")
+		count     = flag.Int("count", 1, "with -perf: benchmark samples per point; reports the median and min/max")
 	)
 	flag.Parse()
 
@@ -50,12 +51,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchall: -workers: %v\n", err)
 		os.Exit(2)
 	}
-	var serveGs []int
-	if *serveCS != "" {
-		if serveGs, err = parseWorkers(*serveCS); err != nil {
-			fmt.Fprintf(os.Stderr, "benchall: -servegoroutines: %v\n", err)
-			os.Exit(2)
-		}
+	if *count < 1 {
+		fmt.Fprintf(os.Stderr, "benchall: -count must be at least 1\n")
+		os.Exit(2)
 	}
 
 	progress := func(string, ...any) {}
@@ -66,7 +64,7 @@ func main() {
 	}
 
 	if *perf {
-		runPerf(*perfScale, workers, serveGs, *jsonPath, progress)
+		runPerf(*perfScale, workers, *count, *jsonPath, progress)
 		return
 	}
 
@@ -120,22 +118,15 @@ func parseWorkers(s string) ([]int, error) {
 // runPerf measures the compressor on the medium generator graphs,
 // prints a summary table, and optionally writes the machine-readable
 // report (the BENCH_<n>.json trajectory format).
-func runPerf(scale int, workers, serveGs []int, jsonPath string, progress func(string, ...any)) {
-	rep, err := bench.Perf(bench.PerfDatasets, scale, workers, progress)
+func runPerf(scale int, workers []int, count int, jsonPath string, progress func(string, ...any)) {
+	rep, err := bench.Perf(bench.PerfDatasets, scale, workers, count, progress)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchall: perf: %v\n", err)
 		os.Exit(1)
 	}
-	if len(serveGs) > 0 {
-		rep.Serving, err = bench.ServePerf(bench.PerfDatasets, scale, serveGs, progress)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchall: serve perf: %v\n", err)
-			os.Exit(1)
-		}
-	}
 	t := &bench.Table{
-		Title:  fmt.Sprintf("Compressor perf (scale 1/%d, %s %s/%s)", scale, rep.GoVersion, rep.GOOS, rep.GOARCH),
-		Header: []string{"dataset", "workers", "nodes", "edges", "bytes", "bpe", "ratio", "ms/op", "KB/op", "allocs/op"},
+		Title:  fmt.Sprintf("Compressor perf (scale 1/%d, %s %s/%s, median of %d)", scale, rep.GoVersion, rep.GOOS, rep.GOARCH, count),
+		Header: []string{"dataset", "workers", "nodes", "edges", "bytes", "bpe", "ratio", "ms/op", "ms/op min–max", "KB/op", "KB/op min–max", "allocs/op"},
 	}
 	for _, r := range rep.Results {
 		t.Rows = append(t.Rows, []string{
@@ -147,28 +138,13 @@ func runPerf(scale int, workers, serveGs []int, jsonPath string, progress func(s
 			fmt.Sprintf("%.2f", r.BitsPerEdge),
 			fmt.Sprintf("%.3f", r.Ratio),
 			fmt.Sprintf("%.2f", r.WallMsPerOp),
+			fmt.Sprintf("%.2f–%.2f", float64(r.NsPerOpMin)/1e6, float64(r.NsPerOpMax)/1e6),
 			fmt.Sprint(r.BytesPerOp / 1024),
+			fmt.Sprintf("%d–%d", r.BytesPerOpMin/1024, r.BytesPerOpMax/1024),
 			fmt.Sprint(r.AllocsPerOp),
 		})
 	}
 	fmt.Println(t.Format())
-	if len(rep.Serving) > 0 {
-		st := &bench.Table{
-			Title:  fmt.Sprintf("Concurrent query serving (scale 1/%d, shared precomputed engine)", scale),
-			Header: []string{"dataset", "goroutines", "nodes", "edges", "ns/query", "queries/s"},
-		}
-		for _, r := range rep.Serving {
-			st.Rows = append(st.Rows, []string{
-				r.Dataset,
-				fmt.Sprint(r.Goroutines),
-				fmt.Sprint(r.Nodes),
-				fmt.Sprint(r.Edges),
-				fmt.Sprint(r.NsPerQuery),
-				fmt.Sprintf("%.0f", r.QueriesPerSec),
-			})
-		}
-		fmt.Println(st.Format())
-	}
 	if jsonPath != "" {
 		if err := bench.WritePerfJSON(rep, jsonPath); err != nil {
 			fmt.Fprintf(os.Stderr, "benchall: perf: %v\n", err)

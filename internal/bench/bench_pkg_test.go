@@ -43,6 +43,29 @@ func TestBPEAndComma(t *testing.T) {
 	}
 }
 
+// TestPerfSpread checks the per-point summary benchall -perf -count
+// reports: the lower-middle median, the minimum and the maximum, with
+// the input left unsorted.
+func TestPerfSpread(t *testing.T) {
+	for _, tc := range []struct {
+		in          []int64
+		med, lo, hi int64
+	}{
+		{[]int64{7}, 7, 7, 7},
+		{[]int64{30, 10, 20}, 20, 10, 30},
+		{[]int64{4, 1, 3, 2}, 2, 1, 4},
+	} {
+		first := tc.in[0]
+		med, lo, hi := spread(tc.in)
+		if med != tc.med || lo != tc.lo || hi != tc.hi {
+			t.Errorf("spread(%v) = %d, %d, %d; want %d, %d, %d", tc.in, med, lo, hi, tc.med, tc.lo, tc.hi)
+		}
+		if tc.in[0] != first {
+			t.Errorf("spread sorted its input in place: %v", tc.in)
+		}
+	}
+}
+
 func TestMeasurementHelpersAgree(t *testing.T) {
 	d, err := gen.Generate("ca-grqc", 64)
 	if err != nil {

@@ -25,9 +25,11 @@ func GrowClear[T any](s []T, n int) []T {
 
 // GrowFill returns a slice of length n with every element set to fill,
 // reusing s's backing array when it is large enough. Unlike Grow it
-// over-allocates on growth (append's amortization), for per-stage
-// arenas whose requested length creeps up monotonically — exact-size
-// reallocation would pay an allocation every stage.
+// over-allocates on growth (append's amortization), for scratch whose
+// requested length creeps up monotonically across calls — the
+// per-node table of hypergraph.WeakComponentsInto on a graph that
+// gains nodes — where exact-size reallocation would pay an allocation
+// every call.
 func GrowFill[T any](s []T, n int, fill T) []T {
 	s = slices.Grow(s[:0], n)[:n]
 	for i := range s {

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
+	"runtime"
 	"testing"
 
+	"graphrepair/internal/gen"
 	"graphrepair/internal/hypergraph"
 )
 
@@ -80,8 +83,8 @@ func TestHotPathAllocationBudgets(t *testing.T) {
 	// mark instead of growing without bound; tryCount settles into its
 	// rejection path after the warm-up call counted the pair.
 	if n := testing.AllocsPerRun(200, func() {
-		c.availPool = c.availPool[:0]
-		c.groupPool = c.groupPool[:0]
+		c.availPool.reset()
+		c.groupPool.reset()
 		c.avail[u].reset()
 		c.pairNewEdge(x, u)
 	}); n != 0 {
@@ -140,8 +143,8 @@ func TestAvailGroupArenaSteadyStateAllocs(t *testing.T) {
 		makeEffLabel(3, 1), makeEffLabel(1, 0), makeEffLabel(2, 1), makeEffLabel(1, 1),
 	}
 	fill := func() {
-		c.availPool = c.availPool[:0]
-		c.groupPool = c.groupPool[:0]
+		c.availPool.reset()
+		c.groupPool.reset()
 		for i := range c.avail {
 			c.avail[i].reset()
 		}
@@ -160,8 +163,8 @@ func TestAvailGroupArenaSteadyStateAllocs(t *testing.T) {
 	// The chains must drain in sorted key order with LIFO entries.
 	a := &c.avail[1]
 	var got []effLabel
-	for gi := a.groups; gi != noEntry; gi = c.groupPool[gi].next {
-		got = append(got, c.groupPool[gi].l)
+	for gi := a.groups; gi != noEntry; gi = c.groupPool.at(gi).next {
+		got = append(got, c.groupPool.at(gi).l)
 	}
 	want := []effLabel{makeEffLabel(1, 0), makeEffLabel(1, 1), makeEffLabel(2, 1), makeEffLabel(3, 1)}
 	if len(got) != len(want) {
@@ -171,5 +174,82 @@ func TestAvailGroupArenaSteadyStateAllocs(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("group chain order = %v, want %v", got, want)
 		}
+	}
+}
+
+// TestCompressByteAllocsPerEdge pins the bytes, not just the objects,
+// a whole compression allocates: TotalAlloc per input edge on two
+// catalog graphs at scale 4, against ceilings calibrated with about
+// 35% headroom over the segmented arenas and whole-run reservations
+// (DESIGN.md §5.6). Append-grown arenas allocated about 1.2 KB (rdf)
+// and 1.7 KB (ca-grqc) per edge here.
+func TestCompressByteAllocsPerEdge(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		ceiling float64 // bytes per input edge
+	}{
+		{"rdf-types-ru", 640},
+		{"ca-grqc", 820},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, err := gen.Generate(tc.name, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			if _, err := Compress(d.Graph, d.Labels, DefaultOptions()); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			perEdge := float64(after.TotalAlloc-before.TotalAlloc) / float64(d.Graph.NumEdges())
+			t.Logf("%s: %.0f B allocated per input edge (%d edges)", tc.name, perEdge, d.Graph.NumEdges())
+			if perEdge > tc.ceiling {
+				t.Errorf("%s: compression allocates %.0f B per input edge, ceiling %.0f", tc.name, perEdge, tc.ceiling)
+			}
+		})
+	}
+}
+
+// TestRunMintsWithinReservation checks the bound the working graph is
+// reserved from (DESIGN.md §5.6): on every catalog dataset a
+// sequential run mints one edge per replacement and one per virtual
+// edge, at most |E| + 2(C−1) − 1 in total for C weak components, so
+// the edge tables reserved up front are never regrown. Pruning is
+// skipped: it inlines rules into the start graph after the run, which
+// is not minting.
+func TestRunMintsWithinReservation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("catalog sweep; skipped in -short")
+	}
+	for _, name := range gen.Names("") {
+		t.Run(name, func(t *testing.T) {
+			d, err := gen.Generate(name, 256)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var cs hypergraph.Components
+			edges, comps := d.Graph.NumEdges(), d.Graph.WeakComponentsInto(&cs)
+			opts := DefaultOptions()
+			opts.SkipPrune = true
+			c := newCompressor(d.Graph, d.Labels, opts)
+			c.ctx = context.Background()
+			edgeCap := c.g.EdgeCap()
+			res, err := c.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v := res.Stats.VirtualEdges; v > comps-1 {
+				t.Errorf("%d virtual edges for %d components", v, comps)
+			}
+			minted := res.Stats.Replacements + res.Stats.VirtualEdges
+			if bound := edges + 2*(comps-1) - 1; minted > bound {
+				t.Errorf("minted %d edge IDs, bound |E| + 2(C-1) - 1 = %d (|E| = %d, C = %d)", minted, bound, edges, comps)
+			}
+			if got := c.g.EdgeCap(); got != edgeCap {
+				t.Errorf("edge tables regrown from %d to %d", edgeCap, got)
+			}
+		})
 	}
 }

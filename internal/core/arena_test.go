@@ -8,6 +8,119 @@ import (
 	"graphrepair/internal/hypergraph"
 )
 
+// arenaBoundaries returns the first index of each arena segment after
+// the first, up to n: 64, 192, 448, 960, … (segment k starts at
+// 64·(2^k−1)).
+func arenaBoundaries(n int) []int {
+	var out []int
+	for b := 1 << arenaBase; b <= n; b = 2*b + 1<<arenaBase {
+		out = append(out, b)
+	}
+	return out
+}
+
+// TestArenaMatchesSliceTwin runs random push / at / write / reset
+// sequences against a plain slice and requires identical contents
+// after every step, then walks every segment boundary up to 16k
+// entries (63/64, 191/192, …), and checks that a pointer from at
+// survives later pushes (segments are never copied).
+func TestArenaMatchesSliceTwin(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var a arena[int64]
+		var twin []int64
+		for step := 0; step < 20000; step++ {
+			switch r := rng.Intn(1000); {
+			case r < 2:
+				a.reset()
+				twin = twin[:0]
+			case r < 700:
+				v := rng.Int63()
+				if i := a.push(v); int(i) != len(twin) {
+					t.Fatalf("seed %d step %d: push returned %d, want %d", seed, step, i, len(twin))
+				}
+				twin = append(twin, v)
+			case len(twin) > 0:
+				i := rng.Intn(len(twin))
+				if got := *a.at(int32(i)); got != twin[i] {
+					t.Fatalf("seed %d step %d: at(%d) = %d, want %d", seed, step, i, got, twin[i])
+				}
+				v := rng.Int63()
+				*a.at(int32(i)) = v
+				twin[i] = v
+			}
+			if int(a.n) != len(twin) {
+				t.Fatalf("seed %d step %d: %d entries, want %d", seed, step, a.n, len(twin))
+			}
+		}
+		for i, v := range twin {
+			if got := *a.at(int32(i)); got != v {
+				t.Fatalf("seed %d: final at(%d) = %d, want %d", seed, i, got, v)
+			}
+		}
+	}
+
+	const n = 16 << 10
+	var a arena[int32]
+	first := a.push(-1)
+	p := a.at(first)
+	for i := int32(1); i < n; i++ {
+		a.push(i)
+	}
+	*p = 0 // must write through to entry 0
+	for _, b := range arenaBoundaries(n - 1) {
+		for _, i := range []int32{int32(b) - 1, int32(b)} {
+			if got := *a.at(i); got != i {
+				t.Fatalf("at(%d) = %d across the segment boundary at %d", i, got, b)
+			}
+		}
+		if &a.segs[0][0] == a.at(int32(b)) {
+			t.Fatalf("boundary %d aliases entry 0", b)
+		}
+	}
+	for i := int32(0); i < n; i++ {
+		if got := *a.at(i); got != i {
+			t.Fatalf("at(%d) = %d", i, got)
+		}
+	}
+	if p != a.at(0) {
+		t.Fatal("the pointer to entry 0 moved: a segment was copied")
+	}
+}
+
+// TestArenaRefillAllocs pins reset's contract: it keeps every segment,
+// so refilling an arena to its previous high-water mark allocates
+// nothing, and growing past it adds segments without moving the old
+// ones.
+func TestArenaRefillAllocs(t *testing.T) {
+	const high = 3000 // inside the sixth segment
+	var a arena[occEntry]
+	fill := func(n int) {
+		a.reset()
+		for i := 0; i < n; i++ {
+			a.push(occEntry{oi: int32(i)})
+		}
+	}
+	fill(high)
+	segs := len(a.segs)
+	if n := testing.AllocsPerRun(100, func() { fill(high) }); n != 0 {
+		t.Errorf("refilling to the high-water mark allocates %v/op, want 0", n)
+	}
+	if len(a.segs) != segs {
+		t.Errorf("reset dropped segments: %d, want %d", len(a.segs), segs)
+	}
+	old := make([]*occEntry, segs)
+	for k := range old {
+		old[k] = &a.segs[k][0]
+	}
+	fill(4 * high)
+	for k, p := range old {
+		if &a.segs[k][0] != p {
+			t.Fatalf("growing past the high-water mark moved segment %d", k)
+		}
+	}
+}
+
 // TestDigramOccChainArenaOrder replays randomized append sequences
 // interleaved across digrams (with a mid-run stage reset) and checks
 // that every digram's chain visits its occurrences in exact append
@@ -40,8 +153,8 @@ func TestDigramOccChainArenaOrder(t *testing.T) {
 			// oracle does.
 			for d := range pool {
 				var got []int32
-				for i := pool[d].occHead; i != noEntry; i = s.pool[i].next {
-					got = append(got, s.pool[i].oi)
+				for i := pool[d].occHead; i != noEntry; i = s.pool.at(i).next {
+					got = append(got, s.pool.at(i).oi)
 				}
 				want := oracle[d]
 				if len(got) != len(want) {
@@ -87,15 +200,15 @@ func TestDigramOccChainArenaAllocs(t *testing.T) {
 // it), and keyUsed sees exactly the hashes added for that edge.
 func TestEdgeOccsChainOrder(t *testing.T) {
 	var s edgeOccs
-	s.reset(4)
+	s.reset(4, 0)
 	s.add(2, 100, 0)
 	s.add(1, 200, 1)
 	s.add(2, 300, 2)
 	s.add(2, 400, 3)
 
 	var got []int32
-	for i := s.head[2]; i >= 0; i = s.pool[i].next {
-		got = append(got, s.pool[i].oi)
+	for i := s.head[2]; i >= 0; i = s.pool.at(i).next {
+		got = append(got, s.pool.at(i).oi)
 	}
 	want := []int32{0, 2, 3}
 	if len(got) != len(want) {
@@ -118,7 +231,7 @@ func TestEdgeOccsChainOrder(t *testing.T) {
 	}
 
 	// After a stage reset, nothing is used.
-	s.reset(4)
+	s.reset(4, 0)
 	if s.keyUsed(1, 200) {
 		t.Fatal("reset did not clear the chains")
 	}
@@ -131,12 +244,12 @@ func TestEdgeOccsChainOrder(t *testing.T) {
 func TestArenaSteadyStateAllocs(t *testing.T) {
 	const edges, entries = 64, 500
 	var s edgeOccs
-	s.reset(edges)
+	s.reset(edges, 0)
 	for i := 0; i < entries; i++ {
 		s.add(hypergraph.EdgeID(i%edges), uint64(i), int32(i))
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		s.reset(edges)
+		s.reset(edges, 0)
 		for i := 0; i < entries; i++ {
 			s.add(hypergraph.EdgeID(i%edges), uint64(i), int32(i))
 		}
@@ -145,7 +258,7 @@ func TestArenaSteadyStateAllocs(t *testing.T) {
 	}
 
 	// grow within previously established slot capacity is also free.
-	s.reset(edges / 2)
+	s.reset(edges/2, 0)
 	if n := testing.AllocsPerRun(100, func() {
 		s.grow(edges)
 	}); n != 0 {

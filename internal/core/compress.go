@@ -196,18 +196,41 @@ func describeEdge(label hypergraph.Label, att []hypergraph.NodeID) string {
 	return fmt.Sprintf("label %d, attachment %v", label, att)
 }
 
-// newCompressor clones the input and allocates the stage state that is
-// reused (never reallocated) across all stages of the run.
+// newCompressor clones the input, reserved for the whole run, and
+// allocates the stage state that is reused (never reallocated) across
+// all stages of the run.
 func newCompressor(g *hypergraph.Graph, terminals hypergraph.Label, opts Options) *compressor {
-	return newCompressorOn(g.Clone(), grammar.New(terminals, nil), opts)
+	// Node IDs survive the clone, so the input's component scratch is
+	// the virtual-edge stage's, already at size.
+	var cs hypergraph.Components
+	comps := g.WeakComponentsInto(&cs)
+	ids, att := runReservation(g.NumEdges(), comps)
+	c := newCompressorOn(g.CloneReserve(ids, att), grammar.New(terminals, nil), opts, comps)
+	c.comps = cs
+	return c
+}
+
+// runReservation returns the edge IDs and attachment slots a
+// compressor run on a graph of the given live edges and weak
+// components may add: each replacement turns two live edges into one,
+// and the virtual-edge stage adds at most comps−1 edges, so a run mints
+// at most edges + 2(comps−1) − 1 edge IDs (DESIGN.md §5.6). A minted
+// edge may have any rank up to MaxRank, so attachment slots have no
+// useful bound; three per edge ID covers what the catalog's runs mint.
+func runReservation(edges, comps int) (ids, att int) {
+	ids = max(edges+2*(comps-1)-1, 0)
+	return ids, 3 * ids
 }
 
 // newCompressorOn builds a compressor that takes ownership of g — a
-// compacted graph that becomes the grammar's start graph and is
-// consumed in place — and of gram, which may already carry rules (the
-// sharded path resumes compression on a merged start graph whose
-// nonterminal edges reference the merged rules).
-func newCompressorOn(g *hypergraph.Graph, gram *grammar.Grammar, opts Options) *compressor {
+// compacted graph with comps weak components that becomes the
+// grammar's start graph and is consumed in place — and of gram, which
+// may already carry rules (the sharded path resumes compression on a
+// merged start graph whose nonterminal edges reference the merged
+// rules). The graph and the per-edge tables are reserved for the whole
+// run here, once; callers that build g reserve it at that size up
+// front, which makes this reservation free.
+func newCompressorOn(g *hypergraph.Graph, gram *grammar.Grammar, opts Options, comps int) *compressor {
 	c := &compressor{
 		g:       g,
 		gram:    gram,
@@ -216,13 +239,14 @@ func newCompressorOn(g *hypergraph.Graph, gram *grammar.Grammar, opts Options) *
 		digrams: make(map[digramKey]int32),
 	}
 	c.gram.Start = c.g
+	c.g.Reserve(runReservation(c.g.NumEdges(), comps))
 	// Intern every rank-2 edge exactly; the duplicate veto only applies
 	// to rank-2 edges (adjacency-matrix encoding). On the sequential
 	// path every edge is rank 2 (validated by Compress); a merged start
 	// graph may also carry higher-rank nonterminal edges, which are
 	// left at noEntry like any hyperedge created later.
 	c.eset.init(c.g.NumEdges())
-	c.edgeIID = growNeg(c.edgeIID, int(c.g.MaxEdgeID()))
+	c.edgeIID = fillNeg(nil, int(c.g.MaxEdgeID()), c.g.EdgeCap())
 	for id := range c.g.EdgesSeq() {
 		att := c.g.Att(id)
 		if len(att) != 2 {
@@ -257,9 +281,10 @@ type availGroup struct {
 // availability is the per-node structure backing constant-time pairing
 // of new nonterminal edges (Sec. III-C1): for every effLabel a LIFO
 // chain of candidate edges. Both the groups and their entries live in
-// per-stage arenas on the compressor (groupPool / availPool, reset by
-// truncation in stageInit), so neither building a node's availability
-// nor pushing a candidate ever allocates (DESIGN.md §9). Entries are
+// per-stage arenas on the compressor (groupPool / availPool, reset in
+// stageInit), so neither building a node's availability nor pushing a
+// candidate allocates below the arenas' high-water marks (DESIGN.md
+// §9). Entries are
 // popped at most once; dead or blocked candidates are discarded, which
 // keeps the total pairing work linear in the node's degree across all
 // replacements. Group insertion in sorted key position and entry
@@ -279,33 +304,24 @@ func (a *availability) reset() {
 // inserting a new group in sorted chain position if needed.
 func (c *compressor) availPush(a *availability, l effLabel, id hypergraph.EdgeID) {
 	prev := noEntry
-	for gi := a.groups; gi != noEntry; gi = c.groupPool[gi].next {
-		g := &c.groupPool[gi]
+	for gi := a.groups; gi != noEntry; {
+		g := c.groupPool.at(gi)
 		if g.l == l {
-			g.head = pushAvail(&c.availPool, g.head, id)
+			g.head = c.availPool.push(availEntry{id: id, next: g.head})
 			return
 		}
 		if g.l > l {
 			break
 		}
-		prev = gi
+		prev, gi = gi, g.next
 	}
-	ni := int32(len(c.groupPool))
-	c.groupPool = append(c.groupPool, availGroup{l: l, head: pushAvail(&c.availPool, noEntry, id)})
+	head := c.availPool.push(availEntry{id: id, next: noEntry})
 	if prev == noEntry {
-		c.groupPool[ni].next = a.groups
-		a.groups = ni
+		a.groups = c.groupPool.push(availGroup{l: l, head: head, next: a.groups})
 	} else {
-		c.groupPool[ni].next = c.groupPool[prev].next
-		c.groupPool[prev].next = ni
+		p := c.groupPool.at(prev)
+		p.next = c.groupPool.push(availGroup{l: l, head: head, next: p.next})
 	}
-}
-
-// pushAvail prepends id to the chain starting at head and returns the
-// new head.
-func pushAvail(ar *[]availEntry, head int32, id hypergraph.EdgeID) int32 {
-	*ar = append(*ar, availEntry{id: id, next: head})
-	return int32(len(*ar) - 1)
 }
 
 // incEntry is one incident edge tagged with its effLabel and its
@@ -341,7 +357,7 @@ type compressor struct {
 	// occPool is the arena behind all occurrence references; digOccs
 	// chains each digram's occurrences through a shared per-stage
 	// arena in append order (see digramOccs).
-	occPool []occurrence
+	occPool arena[occurrence]
 	digOccs digramOccs
 	pq      bucketQueue
 	// occs holds every edge's occurrence list and used-key set in one
@@ -357,10 +373,10 @@ type compressor struct {
 	// avail holds lazily built per-node pairing chains, indexed by
 	// NodeID (the node ID space is fixed for the whole run); the
 	// effLabel groups of all nodes live in groupPool and their entry
-	// chains in availPool, both reset by truncation per stage.
+	// chains in availPool, both reset per stage.
 	avail     []availability
-	groupPool []availGroup
-	availPool []availEntry
+	groupPool arena[availGroup]
+	availPool arena[availEntry]
 	// comps is the weak-component scratch behind the virtual-edge
 	// stage, reused so component discovery is allocation-free once
 	// warm.
@@ -403,12 +419,12 @@ func (c *compressor) runToFixpoint() error {
 func (c *compressor) stageInit() {
 	clear(c.digrams)
 	c.digramPool = c.digramPool[:0]
-	c.occPool = c.occPool[:0]
+	c.occPool.reset()
 	c.digOccs.reset()
 	c.pq.reset(c.g.NumEdges())
-	c.occs.reset(int(c.g.MaxEdgeID()))
-	c.availPool = c.availPool[:0]
-	c.groupPool = c.groupPool[:0]
+	c.occs.reset(int(c.g.MaxEdgeID()), c.g.EdgeCap())
+	c.availPool.reset()
+	c.groupPool.reset()
 	for i := range c.avail {
 		c.avail[i].reset()
 	}
@@ -457,7 +473,12 @@ func (c *compressor) runStage() error {
 // order preserved inside each group, and records the group boundaries
 // in groupStart (group i spans incBuf[groupStart[i]:groupStart[i+1]]).
 func (c *compressor) groupIncident(v hypergraph.NodeID) {
+	// Sized exactly to v's degree: append's growth would allocate the
+	// hub of a skewed graph (rdf-types-ru: degree ~600k) several times.
 	buf := c.incBuf[:0]
+	if d := c.g.Degree(v); cap(buf) < d {
+		buf = make([]incEntry, 0, d)
+	}
 	i := int32(0)
 	for id := range c.g.IncidentSeq(v) {
 		buf = append(buf, incEntry{l: makeEffLabel(c.g.Label(id), c.g.AttPos(id, v)), idx: i, id: id})
@@ -545,8 +566,7 @@ func (c *compressor) tryCount(u hypergraph.NodeID, x, y hypergraph.EdgeID) int32
 	if d.retired {
 		return noDigram
 	}
-	oi := int32(len(c.occPool))
-	c.occPool = append(c.occPool, occurrence{e1: int32(x), e2: int32(y), dig: di})
+	oi := c.occPool.push(occurrence{e1: int32(x), e2: int32(y), dig: di})
 	c.digOccs.add(d, oi)
 	d.count++
 	c.occs.add(x, h, oi)
@@ -577,9 +597,11 @@ func (c *compressor) replaceDigram(di int32) {
 	// chain is never appended to between the passes (the digram is
 	// retired), so the reused liveBuf snapshot is stable.
 	live := c.liveBuf[:0]
-	for i := c.digramPool[di].occHead; i != noEntry; i = c.digOccs.pool[i].next {
-		oi := c.digOccs.pool[i].oi
-		o := &c.occPool[oi]
+	for i := c.digramPool[di].occHead; i != noEntry; {
+		l := c.digOccs.pool.at(i)
+		oi := l.oi
+		i = l.next
+		o := c.occPool.at(oi)
 		if !o.dead && c.g.HasEdge(hypergraph.EdgeID(o.e1)) && c.g.HasEdge(hypergraph.EdgeID(o.e2)) {
 			live = append(live, oi)
 		}
@@ -594,9 +616,9 @@ func (c *compressor) replaceDigram(di int32) {
 		// Earlier replacements in this loop never consume edges of
 		// later occurrences (lists are non-overlapping), but guard
 		// against it anyway.
-		e1 := hypergraph.EdgeID(c.occPool[oi].e1)
-		e2 := hypergraph.EdgeID(c.occPool[oi].e2)
-		if c.occPool[oi].dead || !c.g.HasEdge(e1) || !c.g.HasEdge(e2) {
+		o := c.occPool.at(oi)
+		e1, e2 := hypergraph.EdgeID(o.e1), hypergraph.EdgeID(o.e2)
+		if o.dead || !c.g.HasEdge(e1) || !c.g.HasEdge(e2) {
 			continue
 		}
 		co := canonicalizeInto(c.g, e1, e2, &c.co3, &c.co4)
@@ -641,15 +663,17 @@ func (c *compressor) replaceDigram(di int32) {
 // noEntry for a non-rank-2 edge.
 func (c *compressor) replaceOccurrence(oi int32, co *canonOcc, nt hypergraph.Label, iid int32) {
 	g := c.g
-	o := c.occPool[oi]
+	o := *c.occPool.at(oi)
 	for _, e := range [2]hypergraph.EdgeID{hypergraph.EdgeID(o.e1), hypergraph.EdgeID(o.e2)} {
 		// Invalidate every other occurrence using e.
-		for i := c.occs.head[e]; i >= 0; i = c.occs.pool[i].next {
-			otherI := c.occs.pool[i].oi
+		for i := c.occs.head[e]; i >= 0; {
+			en := c.occs.pool.at(i)
+			otherI := en.oi
+			i = en.next
 			if otherI == oi {
 				continue
 			}
-			other := &c.occPool[otherI]
+			other := c.occPool.at(otherI)
 			if other.dead {
 				continue
 			}
@@ -663,7 +687,7 @@ func (c *compressor) replaceOccurrence(oi int32, co *canonOcc, nt hypergraph.Lab
 		}
 		g.RemoveEdge(e)
 	}
-	c.occPool[oi].dead = true
+	c.occPool.at(oi).dead = true
 	c.digramPool[o.dig].count--
 
 	c.remBuf = co.appendRemoval(c.remBuf[:0])
@@ -714,23 +738,24 @@ func (c *compressor) pairNewEdge(id hypergraph.EdgeID, v hypergraph.NodeID) {
 			head := noEntry
 			// Chain in reverse so that pop order follows incidence order.
 			for m := e - 1; m >= s; m-- {
-				head = pushAvail(&c.availPool, head, c.incBuf[m].id)
+				head = c.availPool.push(availEntry{id: c.incBuf[m].id, next: head})
 			}
-			ni := int32(len(c.groupPool))
-			c.groupPool = append(c.groupPool, availGroup{l: c.incBuf[s].l, head: head, next: noEntry})
+			ni := c.groupPool.push(availGroup{l: c.incBuf[s].l, head: head, next: noEntry})
 			if tail == noEntry {
 				a.groups = ni
 			} else {
-				c.groupPool[tail].next = ni
+				c.groupPool.at(tail).next = ni
 			}
 			tail = ni
 		}
 	}
-	for gi := a.groups; gi != noEntry; gi = c.groupPool[gi].next {
-		h := c.groupPool[gi].head
+	for gi := a.groups; gi != noEntry; {
+		g := c.groupPool.at(gi)
+		h := g.head
 		for h >= 0 {
-			f := c.availPool[h].id
-			h = c.availPool[h].next
+			en := c.availPool.at(h)
+			f := en.id
+			h = en.next
 			if f == id || !c.g.HasEdge(f) {
 				continue
 			}
@@ -739,7 +764,8 @@ func (c *compressor) pairNewEdge(id hypergraph.EdgeID, v hypergraph.NodeID) {
 				break
 			}
 		}
-		c.groupPool[gi].head = h
+		g.head = h
+		gi = g.next
 	}
 }
 

@@ -51,7 +51,7 @@ func appendDigram(pool []digramInfo, key digramKey) []digramInfo {
 // and the overflow-bucket max scan walks tail→head with a pick rule
 // equivalent to the old head→tail scan, so no entry ever needs a
 // forward link — keeping the entry at 8 bytes halves the arena's
-// growth traffic.
+// size.
 type qEntry struct {
 	di   int32
 	prev int32 // previous entry of the same bucket (nearer the head), noEntry = first
@@ -62,8 +62,9 @@ type qEntry struct {
 // occurrences; the last bucket holds every digram with ≥ B
 // occurrences. Each bucket is a linked chain of qEntry links carved
 // from one shared arena: enqueueing appends a link at the bucket tail
-// without allocating (the arena keeps its high-water capacity across
-// stages), and discarding a stale tail entry is an O(1) splice. Entries are updated lazily — a digram may appear in
+// without allocating (the arena keeps its high-water segments across
+// stages), and discarding a stale tail entry is an O(1) splice.
+// Entries are updated lazily — a digram may appear in
 // several buckets, and stale entries are discarded (and re-enqueued
 // into their correct bucket) on pop, a recency rule the replacement
 // loop's byte-identical output depends on: a single-entry queue that
@@ -71,13 +72,13 @@ type qEntry struct {
 // pops and drifts the goldens (DESIGN.md §10). The queue stores
 // digramPool indices and is reset (not reallocated) per stage.
 type bucketQueue struct {
-	pool []qEntry // shared entry arena, truncated per stage
-	tail []int32  // per bucket: last entry (pool index), noEntry = empty
-	b    int      // max bucket index (≈ √|E|)
-	hi   int      // highest bucket that may be non-empty
+	pool arena[qEntry] // shared entry arena, reset per stage
+	tail []int32       // per bucket: last entry (pool index), noEntry = empty
+	b    int           // max bucket index (≈ √|E|)
+	hi   int           // highest bucket that may be non-empty
 }
 
-// reset sizes the queue for a stage over numEdges edges, truncating
+// reset sizes the queue for a stage over numEdges edges, resetting
 // the entry arena and clearing the per-bucket chains in place; the
 // tail array is O(√|E|) and grows to the high-water bucket count, so
 // a warm reset allocates nothing.
@@ -94,7 +95,7 @@ func (q *bucketQueue) reset(numEdges int) {
 	for i := range q.tail {
 		q.tail[i] = noEntry
 	}
-	q.pool = q.pool[:0]
+	q.pool.reset()
 	q.b = b
 	q.hi = 0
 }
@@ -108,15 +109,13 @@ func (q *bucketQueue) bucketFor(count int32) int {
 
 // pushTail appends a new entry for digram di at the tail of bucket bk.
 func (q *bucketQueue) pushTail(bk int, di int32) {
-	i := int32(len(q.pool))
-	q.pool = append(q.pool, qEntry{di: di, prev: q.tail[bk]})
-	q.tail[bk] = i
+	q.tail[bk] = q.pool.push(qEntry{di: di, prev: q.tail[bk]})
 }
 
 // dropTail splices the tail entry off bucket bk (the entry stays in
 // the arena until the next stage reset).
 func (q *bucketQueue) dropTail(bk int) {
-	q.tail[bk] = q.pool[q.tail[bk]].prev
+	q.tail[bk] = q.pool.at(q.tail[bk]).prev
 }
 
 // update (re-)enqueues digram di according to its current count.
@@ -149,7 +148,7 @@ func (q *bucketQueue) popMax(pool []digramInfo) int32 {
 	for q.hi >= 2 {
 		// Drop stale entries from the tail.
 		for t := q.tail[q.hi]; t != noEntry; t = q.tail[q.hi] {
-			di := q.pool[t].di
+			di := q.pool.at(t).di
 			d := &pool[di]
 			if d.retired || d.count < 2 || q.bucketFor(d.count) != q.hi || int(d.queuedAt) != q.hi {
 				q.dropTail(q.hi)
@@ -177,19 +176,20 @@ func (q *bucketQueue) popMax(pool []digramInfo) int32 {
 		tail := q.tail[q.hi]
 		pick := tail
 		if q.hi == q.b {
-			for i := q.pool[tail].prev; i != noEntry; i = q.pool[i].prev {
-				d := &pool[q.pool[i].di]
+			for i := q.pool.at(tail).prev; i != noEntry; i = q.pool.at(i).prev {
+				d := &pool[q.pool.at(i).di]
 				if d.retired || d.count < 2 || int(d.queuedAt) != q.hi {
 					continue
 				}
-				p := &pool[q.pool[pick].di]
+				p := &pool[q.pool.at(pick).di]
 				if d.count > p.count || (d.count == p.count && pick != tail) {
 					pick = i
 				}
 			}
 		}
-		di := q.pool[pick].di
-		q.pool[pick].di = q.pool[q.tail[q.hi]].di
+		pe := q.pool.at(pick)
+		di := pe.di
+		pe.di = q.pool.at(q.tail[q.hi]).di
 		q.dropTail(q.hi)
 		d := &pool[di]
 		if d.retired || d.count < 2 || int(d.queuedAt) != q.hi {

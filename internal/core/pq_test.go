@@ -222,8 +222,8 @@ func TestBucketQueueStaleDropIsSplice(t *testing.T) {
 		// Walk tail→head over the prev links, then reverse into append
 		// order.
 		var dis []int32
-		for i := q.tail[bk]; i != noEntry; i = q.pool[i].prev {
-			dis = append(dis, q.pool[i].di)
+		for i := q.tail[bk]; i != noEntry; i = q.pool.at(i).prev {
+			dis = append(dis, q.pool.at(i).di)
 		}
 		for l, r := 0, len(dis)-1; l < r; l, r = l+1, r-1 {
 			dis[l], dis[r] = dis[r], dis[l]

@@ -51,6 +51,8 @@ type shard struct {
 	g *hypergraph.Graph
 	// orig maps local node IDs (1-based) to base-graph node IDs.
 	orig []hypergraph.NodeID
+	// comps is g's weak-component count, which sizes its run.
+	comps int
 }
 
 // cutEdge is a base-graph edge whose endpoints fell into different
@@ -78,7 +80,8 @@ func compressSharded(ctx context.Context, g *hypergraph.Graph, terminals hypergr
 	if len(shards) < 2 {
 		// Nothing to parallelize (tiny or empty graph): run the
 		// sequential pipeline on the clone we already paid for.
-		c := newCompressorOn(base, grammar.New(terminals, nil), opts)
+		var cs hypergraph.Components
+		c := newCompressorOn(base, grammar.New(terminals, nil), opts, base.WeakComponentsInto(&cs))
 		c.ctx = ctx
 		return c.run()
 	}
@@ -288,7 +291,8 @@ func buildPartitionShards(base *hypergraph.Graph) (shards []shard, cuts []cutEdg
 // assignment: local IDs follow ascending base ID, and every base edge
 // whose endpoints share a shard is added in EdgesSeq order. Edges
 // crossing shards are skipped (the partition fallback collects them
-// separately; component mode has none).
+// separately; component mode has none). Each shard graph is allocated
+// once, with its compressor run's reservation.
 func carveShards(base *hypergraph.Graph, nShards int, nodeShard func(hypergraph.NodeID) int32) ([]shard, []int32, []hypergraph.NodeID) {
 	shardOf := make([]int32, base.MaxNodeID()+1)
 	localOf := make([]hypergraph.NodeID, base.MaxNodeID()+1)
@@ -309,22 +313,31 @@ func carveShards(base *hypergraph.Graph, nShards int, nodeShard func(hypergraph.
 	for s := range shards {
 		shards[s].g = hypergraph.New(counts[s])
 		shards[s].orig = make([]hypergraph.NodeID, counts[s]+1)
+		shards[s].comps = counts[s] // until edges join nodes, below
 	}
 	for v := hypergraph.NodeID(1); v <= base.MaxNodeID(); v++ {
 		if s := shardOf[v]; s >= 0 {
 			shards[s].orig[localOf[v]] = v
 		}
 	}
-	// Pre-size: count per-shard edges, then add them in EdgesSeq order.
+	// Pre-size: count per-shard edges and weak components (a shard
+	// starts with one component per node, and every in-shard edge
+	// joining two of them merges them), then add the edges in EdgesSeq
+	// order.
 	eCounts := make([]int, nShards)
+	jc := newJoinCounter(int(base.MaxNodeID()) + 1)
 	for id := range base.EdgesSeq() {
 		att := base.Att(id)
 		if s := shardOf[att[0]]; s == shardOf[att[1]] {
 			eCounts[s]++
+			if jc.join(int32(att[0]), int32(att[1])) {
+				shards[s].comps--
+			}
 		}
 	}
 	for s := range shards {
-		shards[s].g.Reserve(eCounts[s], 2*eCounts[s])
+		ids, att := runReservation(eCounts[s], shards[s].comps)
+		shards[s].g.Reserve(eCounts[s]+ids, 2*eCounts[s]+att)
 	}
 	for id := range base.EdgesSeq() {
 		att := base.Att(id)
@@ -396,7 +409,7 @@ func runShardPool(ctx context.Context, shards []shard, terminals hypergraph.Labe
 					cancel()
 					continue
 				}
-				c := newCompressorOn(shards[i].g, grammar.New(terminals, nil), sopts)
+				c := newCompressorOn(shards[i].g, grammar.New(terminals, nil), sopts, shards[i].comps)
 				c.ctx = sctx
 				results[i], errs[i] = c.run()
 				if errs[i] != nil {
@@ -499,8 +512,37 @@ func mergeShardResults(ctx context.Context, base *hypergraph.Graph, shards []sha
 		agg.SkippedDuplicates += r.Stats.SkippedDuplicates
 	}
 
+	// The merged graph's weak components size the final run's
+	// reservation, so count them before allocating it: every node
+	// starts alone and every edge joining two components merges them.
+	mEdges, mComps := totalEdges+len(cuts), totalNodes
+	jc := newJoinCounter(totalNodes + 1)
+	for i, r := range results {
+		s, off := r.Grammar.Start, int32(nodeOff[i])
+		for id := range s.EdgesSeq() {
+			att := s.Att(id)
+			for _, v := range att[1:] {
+				if jc.join(int32(att[0])+off, int32(v)+off) {
+					mComps--
+				}
+			}
+		}
+	}
+	cutEnds := make([][2]hypergraph.NodeID, len(cuts))
+	for k, ce := range cuts {
+		u := mergedNodeOf(ce.src, shardOf, localOf, results, nodeOff)
+		w := mergedNodeOf(ce.dst, shardOf, localOf, results, nodeOff)
+		if u == 0 || w == 0 {
+			return nil, fmt.Errorf("core: shard merge lost a protected cut endpoint (%d -> %d)", ce.src, ce.dst)
+		}
+		cutEnds[k] = [2]hypergraph.NodeID{u, w}
+		if jc.join(int32(u), int32(w)) {
+			mComps--
+		}
+	}
 	mg := hypergraph.New(totalNodes)
-	mg.Reserve(totalEdges+len(cuts), totalAtt+2*len(cuts))
+	ids, att := runReservation(mEdges, mComps)
+	mg.Reserve(mEdges+ids, totalAtt+2*len(cuts)+att)
 	attBuf := make([]hypergraph.NodeID, 0, MaxSupportedRank)
 	for i, r := range results {
 		s := r.Grammar.Start
@@ -519,20 +561,15 @@ func mergeShardResults(ctx context.Context, base *hypergraph.Graph, shards []sha
 	}
 	// Cut edges: both endpoints are protected shard-external nodes, so
 	// they survived shard compression and compaction.
-	for _, ce := range cuts {
-		u := mergedNodeOf(ce.src, shardOf, localOf, results, nodeOff)
-		w := mergedNodeOf(ce.dst, shardOf, localOf, results, nodeOff)
-		if u == 0 || w == 0 {
-			return nil, fmt.Errorf("core: shard merge lost a protected cut endpoint (%d -> %d)", ce.src, ce.dst)
-		}
-		mg.AddEdge(ce.label, u, w)
+	for k, ce := range cuts {
+		mg.AddEdge(ce.label, cutEnds[k][0], cutEnds[k][1])
 	}
 
 	// Final sequential stage over the merged graph. FPClasses is left
 	// to this stage (per-shard class counts are not summable into the
 	// paper's |[≅FP]| of one graph); the merged-graph refinement fills
 	// it, so it is still a deterministic function of the input.
-	mc := newCompressorOn(mg, merged, opts)
+	mc := newCompressorOn(mg, merged, opts, mComps)
 	mc.ctx = ctx
 	res, err := mc.run()
 	if err != nil {
@@ -595,4 +632,36 @@ func mergedNodeOf(v hypergraph.NodeID, shardOf []int32, localOf []hypergraph.Nod
 		return 0
 	}
 	return nodeOff[s] + m
+}
+
+// joinCounter is a union-find over dense node IDs that reports which
+// joins merge two components, for counting weak components before a
+// graph is built.
+type joinCounter []int32
+
+func newJoinCounter(n int) joinCounter {
+	p := make(joinCounter, n)
+	for i := range p {
+		p[i] = int32(i)
+	}
+	return p
+}
+
+func (p joinCounter) root(v int32) int32 {
+	for p[v] != v {
+		p[v] = p[p[v]] // path halving
+		v = p[v]
+	}
+	return v
+}
+
+// join merges the components of a and b and reports whether they were
+// distinct.
+func (p joinCounter) join(a, b int32) bool {
+	ra, rb := p.root(a), p.root(b)
+	if ra == rb {
+		return false
+	}
+	p[ra] = rb
+	return true
 }

@@ -147,6 +147,10 @@ func (g *Graph) MaxNodeID() NodeID { return NodeID(len(g.nodeAlive) - 1) }
 // MaxEdgeID returns one past the largest edge ID ever allocated.
 func (g *Graph) MaxEdgeID() EdgeID { return EdgeID(len(g.edges)) }
 
+// EdgeCap returns the edge-table capacity: MaxEdgeID can reach it
+// through AddEdge before the edge tables reallocate (see Reserve).
+func (g *Graph) EdgeCap() int { return cap(g.edges) }
+
 // HasNode reports whether node v is alive.
 func (g *Graph) HasNode(v NodeID) bool {
 	return v >= 1 && int(v) < len(g.nodeAlive) && g.nodeAlive[v]
@@ -467,6 +471,7 @@ func (g *Graph) Nodes() []NodeID {
 // returns it — the allocation-free form of Nodes for callers that
 // reuse a buffer across calls.
 func (g *Graph) AppendNodes(dst []NodeID) []NodeID {
+	dst = slices.Grow(dst, g.numNodes)
 	for v := NodeID(1); int(v) < len(g.nodeAlive); v++ {
 		if g.nodeAlive[v] {
 			dst = append(dst, v)
@@ -534,7 +539,13 @@ func (g *Graph) TotalSize() int { return g.numNodes + g.EdgeSize() }
 // node's chain occupies one contiguous arena segment, so traversals of
 // the clone walk sequential memory — and the copy makes a constant
 // number of allocations.
-func (g *Graph) Clone() *Graph {
+func (g *Graph) Clone() *Graph { return g.CloneReserve(0, 0) }
+
+// CloneReserve is Clone with the copy's edge tables, attachment arena
+// and incidence arena allocated with room for edges more AddEdge calls
+// carrying extraAtt attachment nodes in total, as Reserve would leave
+// them, but without a second allocation and copy.
+func (g *Graph) CloneReserve(edges, extraAtt int) *Graph {
 	c := &Graph{
 		nodeAlive: append([]bool(nil), g.nodeAlive...),
 		numNodes:  g.numNodes,
@@ -556,7 +567,7 @@ func (g *Graph) Clone() *Graph {
 	// [head, head+deg), chained in ascending order; a per-node cursor
 	// (reusing tail) tracks the next free slot while edges are copied
 	// in ascending new-ID order, which reproduces insertion order.
-	c.incPool = make([]incSlot, attLen)
+	c.incPool = make([]incSlot, attLen, attLen+extraAtt)
 	pos := int32(1)
 	for v := range c.inc {
 		if d := c.inc[v].deg; d > 0 {
@@ -568,9 +579,9 @@ func (g *Graph) Clone() *Graph {
 			pos += d
 		}
 	}
-	c.edges = make([]Edge, 0, g.numEdges)
-	c.att = make([]NodeID, 0, attLen)
-	c.edgeAlive = make([]bool, 0, g.numEdges)
+	c.edges = make([]Edge, 0, g.numEdges+edges)
+	c.att = make([]NodeID, 0, attLen+extraAtt)
+	c.edgeAlive = make([]bool, 0, g.numEdges+edges)
 	for id := range g.edges {
 		e := &g.edges[id]
 		if !g.edgeAlive[id] {

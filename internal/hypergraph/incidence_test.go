@@ -152,6 +152,29 @@ func TestReservedAddEdgeArenaAllocs(t *testing.T) {
 	}
 }
 
+// TestCloneReserveAllocs pins CloneReserve's contract: the copy equals
+// Clone's, EdgeCap covers the reserved edges, and that many AddEdge
+// calls within the reserved attachment slots allocate nothing.
+func TestCloneReserveAllocs(t *testing.T) {
+	g := New(5)
+	for v := NodeID(1); v < 5; v++ {
+		g.AddEdge(1, v, v+1)
+	}
+	g.RemoveEdge(1)
+	c := g.CloneReserve(300, 900)
+	if !EqualHyper(c, g.Clone()) {
+		t.Fatal("CloneReserve differs from Clone")
+	}
+	if got, want := c.EdgeCap(), c.NumEdges()+300; got < want {
+		t.Fatalf("EdgeCap = %d, want >= %d", got, want)
+	}
+	if allocs := testing.AllocsPerRun(99, func() {
+		c.AddEdge(2, 1, 2, 3)
+	}); allocs != 0 {
+		t.Fatalf("AddEdge inside the reservation allocates %v/op, want 0", allocs)
+	}
+}
+
 // TestNewReservedAllocs pins the rule-builder constructor contract:
 // NewReserved makes a fixed handful of allocations regardless of
 // content, and filling the graph to its reserved capacity (AddEdge up

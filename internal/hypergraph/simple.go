@@ -197,12 +197,18 @@ type Components struct {
 // returns the component count. Components are numbered by smallest
 // contained node, ascending; cs.Reps[i] is that node. All state is
 // reused, so a warm call allocates nothing — the allocation-free form
-// of WeakComponents.
+// of WeakComponents. The graph is only read (IncidentSeqRO), so
+// concurrent calls on one unmutated graph are safe.
 func (g *Graph) WeakComponentsInto(cs *Components) int {
 	cs.Comp = buf.GrowFill(cs.Comp, len(g.nodeAlive), -1)
 	cs.Reps = cs.Reps[:0]
 	comp := cs.Comp
+	// Every node is pushed at most once, so the node count bounds the
+	// stack; sizing it once avoids append's growth on a giant component.
 	stack := cs.stack[:0]
+	if cap(stack) < g.numNodes {
+		stack = make([]NodeID, 0, g.numNodes)
+	}
 	for v := NodeID(1); int(v) < len(g.nodeAlive); v++ {
 		if !g.nodeAlive[v] || comp[v] >= 0 {
 			continue
@@ -216,7 +222,7 @@ func (g *Graph) WeakComponentsInto(cs *Components) int {
 		for len(stack) > 0 {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for id := range g.IncidentSeq(u) {
+			for id := range g.IncidentSeqRO(u) {
 				for _, w := range g.attOf(&g.edges[id]) {
 					if comp[w] < 0 {
 						comp[w] = ci

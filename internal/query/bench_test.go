@@ -27,7 +27,7 @@ func benchEngine(b *testing.B, opts EngineOptions) *Engine {
 
 // BenchmarkConcurrentQueries measures the query phase under RunParallel
 // on one shared engine — the pattern the compile/query split exists
-// for. The mixed op rotation matches bench.ServePerf.
+// for, rotating reachability, neighborhood and distance queries.
 func BenchmarkConcurrentQueries(b *testing.B) {
 	for _, cfg := range []struct {
 		name string
