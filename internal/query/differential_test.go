@@ -12,7 +12,10 @@ import (
 
 // TestQueryDifferentialCatalog pins the compiled engine against plain
 // graph algorithms on the derived graph, over every generator catalog
-// dataset compressed sequentially and on the sharded path. Node pairs
+// dataset compressed sequentially and on the sharded path: Reachable,
+// Distance, RPQ Matches (a path and a star automaton over the
+// dataset's terminal labels, against a product BFS) and Neighbors in
+// every Direction (against the derived adjacency). Node pairs
 // are biased toward the cases the grammar-side algorithms treat
 // specially: pairs inside one derivation subtree, pairs of start-graph
 // nodes, and pairs whose only connecting paths run through derived
@@ -40,7 +43,10 @@ func TestQueryDifferentialCatalog(t *testing.T) {
 				}
 				derived := mustDerive(t, res.Grammar)
 				checkAggregates(t, e, derived)
-				checkPairs(t, e, derived, differentialPairs(t, e, derived, int64(len(name))))
+				pairs := differentialPairs(t, e, derived, int64(len(name)))
+				checkPairs(t, e, derived, pairs)
+				checkMatches(t, e, derived, d.Labels, pairs)
+				checkNeighbors(t, e, derived, pairs)
 			})
 		}
 	}
@@ -145,6 +151,63 @@ func checkPairs(t *testing.T, e *Engine, derived *hypergraph.Graph, pairs [][2]i
 		}
 		if want := bruteDistance(derived, hypergraph.NodeID(u), hypergraph.NodeID(v)); d != want {
 			t.Fatalf("Distance(%d,%d) = %d, want %d", u, v, d, want)
+		}
+	}
+}
+
+// checkMatches compares RPQ Matches under a fixed-length path
+// automaton and a star automaton over labels 1..labels with a product
+// BFS on the derived graph.
+func checkMatches(t *testing.T, e *Engine, derived *hypergraph.Graph, labels hypergraph.Label, pairs [][2]int64) {
+	t.Helper()
+	all := make([]hypergraph.Label, labels)
+	for i := range all {
+		all[i] = hypergraph.Label(i + 1)
+	}
+	path := make([]hypergraph.Label, 3)
+	for i := range path {
+		path[i] = all[i%len(all)]
+	}
+	for _, nfa := range []*NFA{PathNFA(path...), StarNFA(all...)} {
+		rpq := e.NewRPQ(nfa)
+		for _, p := range pairs {
+			u, v := p[0], p[1]
+			got, err := rpq.Matches(u, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := bruteMatches(derived, nfa, hypergraph.NodeID(u), hypergraph.NodeID(v)); got != want {
+				t.Fatalf("Matches(%d,%d) with %d-state NFA = %v, want %v", u, v, nfa.States, got, want)
+			}
+		}
+	}
+}
+
+// checkNeighbors compares Neighbors in every Direction with the
+// derived adjacency of both endpoints of each pair.
+func checkNeighbors(t *testing.T, e *Engine, derived *hypergraph.Graph, pairs [][2]int64) {
+	t.Helper()
+	for _, p := range pairs {
+		for _, k := range p {
+			v := hypergraph.NodeID(k)
+			for _, dir := range []Direction{Out, In, Both} {
+				got, err := e.Neighbors(k, dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want []int64
+				switch dir {
+				case Out:
+					want = toIDs(derived.OutNeighbors(v))
+				case In:
+					want = toIDs(derived.InNeighbors(v))
+				case Both:
+					want = toIDs(derived.Neighbors(v))
+				}
+				if !equalIDs(got, want) {
+					t.Fatalf("Neighbors(%d, %d) = %v, want %v", k, dir, got, want)
+				}
+			}
 		}
 	}
 }
