@@ -47,6 +47,49 @@ func TestNeighborsAllocationBudget(t *testing.T) {
 	}
 }
 
+// TestQueryAllocs pins the int-ID product search: once the skeletons
+// are built and the scratch pool is warm, an uncached Reachable,
+// Distance or RPQ Matches call allocates nothing, whatever pair it
+// answers.
+func TestQueryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled scratches at random under -race")
+	}
+	rng := rand.New(rand.NewSource(99))
+	g := randomGraph(rng, 60, 180, 3)
+	e, _ := buildEngine(t, g, 3, core.DefaultOptions())
+	n := e.NumNodes()
+	rpq := e.NewRPQ(PathNFA(1, 2, 3))
+	queries := []struct {
+		name string
+		run  func(u, v int64) error
+	}{
+		{"Reachable", func(u, v int64) error { _, err := e.Reachable(u, v); return err }},
+		{"Distance", func(u, v int64) error { _, err := e.Distance(u, v); return err }},
+		{"Matches", func(u, v int64) error { _, err := rpq.Matches(u, v); return err }},
+	}
+	for _, q := range queries {
+		// Warm up on every pair, so every scratch buffer has reached
+		// its largest size.
+		for u := int64(1); u <= n; u++ {
+			for v := int64(1); v <= n; v++ {
+				if err := q.run(u, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		k := int64(0)
+		if a := testing.AllocsPerRun(500, func() {
+			k = k%(n*n) + 1
+			if err := q.run(1+(k-1)/n, 1+(k-1)%n); err != nil {
+				t.Fatal(err)
+			}
+		}); a != 0 {
+			t.Errorf("uncached %s allocates %v/op in steady state, want 0", q.name, a)
+		}
+	}
+}
+
 // TestNeighborsCacheHitAllocs pins that a cache hit bypasses the
 // scratch machinery entirely: one allocation for the caller's copy of
 // the cached slice.

@@ -36,165 +36,12 @@ func fold[T any](e *Engine, tk *ticker, op string, step func(h *hypergraph.Graph
 	return sums, nil
 }
 
-// nodeKey names a node of the path-expanded graph: the instance it
-// belongs to (by derivation-path key; "" is the start graph) and its
-// node ID there.
-type nodeKey struct {
-	inst string
-	node hypergraph.NodeID
-}
-
-// instance is one expanded right-hand side along a G-representation
-// path.
-type instance struct {
-	key    string
-	parent string
-	edge   hypergraph.EdgeID // edge in parent deriving this instance
-	graph  *hypergraph.Graph
-}
-
-// pathExpansion glues the start graph and the right-hand-side
-// instances along one or two G-representation paths, sharing instances
-// along common prefixes. It backs both plain reachability (Thm. 6) and
-// regular path queries. Its maps live in the pooled query scratch —
-// per-call state, never shared.
-type pathExpansion struct {
-	e         *Engine
-	instances map[string]instance
-	// onPath[instKey][edgeID]: this nonterminal edge is expanded as a
-	// child instance, so its skeleton must not be added.
-	onPath map[string]map[hypergraph.EdgeID]bool
-}
-
-func prefKey(path []hypergraph.EdgeID, n int) string {
-	b := make([]byte, 0, 4*n)
-	for _, id := range path[:n] {
-		b = append(b, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-	}
-	return string(b)
-}
-
-// expandPathsInto builds the shared instance set for the given
-// locations inside the scratch's pathExpansion (cleared on the
-// scratch's previous release).
-func (e *Engine) expandPathsInto(s *scratch, locs ...*Location) *pathExpansion {
-	px := &s.px
-	px.e = e
-	px.instances[""] = instance{key: "", graph: e.g.Start}
-	for _, l := range locs {
-		for n := 1; n <= len(l.Path); n++ {
-			k := prefKey(l.Path, n)
-			if _, ok := px.instances[k]; ok {
-				continue
-			}
-			px.instances[k] = instance{
-				key:    k,
-				parent: prefKey(l.Path, n-1),
-				edge:   l.Path[n-1],
-				graph:  l.Graphs[n],
-			}
-		}
-	}
-	for _, ins := range px.instances {
-		if ins.key == "" {
-			continue
-		}
-		if px.onPath[ins.parent] == nil {
-			px.onPath[ins.parent] = map[hypergraph.EdgeID]bool{}
-		}
-		px.onPath[ins.parent][ins.edge] = true
-	}
-	return px
-}
-
-// keyOf returns the instance key of a location's innermost graph.
-func (px *pathExpansion) keyOf(l *Location) string {
-	return prefKey(l.Path, len(l.Path))
-}
-
-// canonical resolves a node of an instance to its canonical key:
-// external nodes of a non-root instance belong to the parent.
-func (px *pathExpansion) canonical(key string, n hypergraph.NodeID) nodeKey {
-	for {
-		ins := px.instances[key]
-		if key == "" || !ins.graph.IsExternal(n) {
-			return nodeKey{key, n}
-		}
-		parent := px.instances[ins.parent]
-		n = parent.graph.Att(ins.edge)[ins.graph.ExtIndex(n)]
-		key = ins.parent
-	}
-}
-
-// forEachEdge yields every edge of every expanded instance, skipping
-// nonterminal edges that are themselves expanded as child instances.
-func (px *pathExpansion) forEachEdge(yield func(instKey string, h *hypergraph.Graph, id hypergraph.EdgeID)) {
-	for _, ins := range px.instances {
-		for id := range ins.graph.EdgesSeq() {
-			if !px.e.g.IsTerminal(ins.graph.Label(id)) && px.onPath[ins.key][id] {
-				continue
-			}
-			yield(ins.key, ins.graph, id)
-		}
-	}
-}
-
-// arcs reports the arcs edge id of h contributes to an expanded graph:
-// a terminal edge is one arc of length 1, a nonterminal edge one arc
-// per finite off-diagonal entry of its min-plus skeleton.
-func (e *Engine) arcs(h *hypergraph.Graph, id hypergraph.EdgeID, dskel [][][]int64, add func(a, b hypergraph.NodeID, w int64)) {
-	att := h.Att(id)
-	lab := h.Label(id)
-	if e.g.IsTerminal(lab) {
-		add(att[0], att[1], 1)
-		return
-	}
-	for i, row := range dskel[e.ruleIdx(lab)] {
-		for j, d := range row {
-			if i != j && d < maxDist {
-				add(att[i], att[j], d)
-			}
-		}
-	}
-}
-
-// expand builds the path-expanded graph of a (u, v) query into
-// s.wadj: the right-hand sides along both G-representations, glued
-// with instances shared along the common prefix, and every
-// unexpanded nonterminal edge replaced by its skeleton arcs. It
-// returns the canonical keys of u and v.
-func (e *Engine) expand(ctx context.Context, s *scratch, u, v int64) (src, dst nodeKey, err error) {
-	if err := e.locateInto(&s.loc1, u); err != nil {
-		return src, dst, err
-	}
-	if err := e.locateInto(&s.loc2, v); err != nil {
-		return src, dst, err
-	}
-	dskel, err := e.distSkeletons(ctx)
-	if err != nil {
-		return src, dst, err
-	}
-	px := e.expandPathsInto(s, &s.loc1, &s.loc2)
-	var inst string
-	add := func(a, b hypergraph.NodeID, w int64) {
-		ka := px.canonical(inst, a)
-		s.wadj[ka] = append(s.wadj[ka], arc[nodeKey]{px.canonical(inst, b), w})
-	}
-	px.forEachEdge(func(instKey string, h *hypergraph.Graph, id hypergraph.EdgeID) {
-		inst = instKey
-		e.arcs(h, id, dskel, add)
-	})
-	src = px.canonical(px.keyOf(&s.loc1), s.loc1.Node)
-	dst = px.canonical(px.keyOf(&s.loc2), s.loc2.Node)
-	return src, dst, nil
-}
-
 // Reachable reports whether derived node v is reachable from derived
 // node u in val(G), evaluated in O(|G|) on the grammar (Thm. 6): the
 // right-hand sides along both G-representations are glued into one
 // "path-expanded" graph (with skeletons standing in for unexpanded
-// subtrees, and instances shared along the common prefix), and a
-// single BFS answers the query. This also covers the case where both
+// subtrees, and right-hand sides shared along the common prefix), and
+// a single BFS answers the query (product.go). This also covers the case where both
 // nodes lie in the same derivation subtree.
 func (e *Engine) Reachable(u, v int64) (bool, error) {
 	return e.ReachableContext(context.Background(), u, v)
@@ -214,34 +61,22 @@ func (e *Engine) ReachableContext(ctx context.Context, u, v int64) (bool, error)
 			return cv.ok, nil
 		}
 	}
-	s := e.getScratch()
-	defer e.putScratch(s)
-	src, dst, err := e.expand(ctx, s, u, v)
+	skel, err := e.distSkeletons(ctx)
 	if err != nil {
 		return false, err
 	}
-	// Plain BFS: a skeleton arc's length does not matter here, only
-	// that it is finite.
-	seen := s.seen
-	seen[src] = true
-	s.queue = append(s.queue[:0], src)
+	s := e.getScratch()
+	defer e.putScratch(s)
+	src, dst, err := e.expand(s, &anyLabel, skel, u, v)
+	if err != nil {
+		return false, err
+	}
+	// A skeleton arc's length does not matter here, only that it is
+	// finite.
 	tk := ticker{ctx: ctx}
-	found := false
-	for head := 0; head < len(s.queue); head++ {
-		if err := tk.check("query: reachable"); err != nil {
-			return false, err
-		}
-		x := s.queue[head]
-		if x == dst {
-			found = true
-			break
-		}
-		for _, a := range s.wadj[x] {
-			if !seen[a.to] {
-				seen[a.to] = true
-				s.queue = append(s.queue, a.to)
-			}
-		}
+	found, err := s.pg.bfs(&tk, "query: reachable", src, dst, anyLabel.accept)
+	if err != nil {
+		return false, err
 	}
 	if e.cache != nil {
 		e.cache.put(key, cacheVal{ok: found})

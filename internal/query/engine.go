@@ -91,7 +91,7 @@ type Engine struct {
 
 	// Memo layers: computed once (under a lock, retried if canceled),
 	// then shared lock-free. See memo.go for the safety argument.
-	dskel memo[[][][]int64] // min-plus skeletons per rule
+	dskel memo[[][]int64]   // min-plus skeletons per rule, (rank)² flat
 	comp  memo[int64]       // weakly connected component count
 	deg   memo[[3][2]int64] // {min, max} degree per Direction
 	hist  memo[map[hypergraph.Label]int64]

@@ -10,6 +10,7 @@ import (
 	"graphrepair/internal/core"
 	"graphrepair/internal/encoding"
 	"graphrepair/internal/govern"
+	"graphrepair/internal/grammar"
 	"graphrepair/internal/hypergraph"
 )
 
@@ -27,8 +28,9 @@ var fuzzDeriveLimits = govern.Limits{MaxNodes: 4096, MaxEdges: 1 << 16}
 // engine construction, reachability, neighborhoods, distance, and a
 // regular path query — under a 100ms deadline. The engine must never
 // panic or hang on adversarial-but-valid grammars; Reachable must hold
-// exactly when Distance finds a path; and when val(G) is small enough
-// to derive, Reachable and Distance must equal BFS on it.
+// exactly when Distance finds a path, and exactly when Matches does
+// under a star over every terminal label; and when val(G) is small
+// enough to derive, Reachable and Distance must equal BFS on it.
 func FuzzQuery(f *testing.F) {
 	chain := hypergraph.New(33)
 	for i := 1; i <= 32; i++ {
@@ -90,7 +92,49 @@ func FuzzQuery(f *testing.F) {
 		} else if ctx.Err() == nil {
 			t.Fatalf("NewRPQ on valid grammar: %v", err)
 		}
+		// A star over every terminal label accepts every path, so
+		// Matches must equal Reachable.
+		star, err := e.NewRPQContext(ctx, StarNFA(terminalLabels(g)...))
+		if err != nil {
+			if ctx.Err() == nil {
+				t.Fatalf("NewRPQ on valid grammar: %v", err)
+			}
+			return
+		}
+		for _, p := range [][2]int64{{u, v}, {v, u}} {
+			m, err := star.MatchesContext(ctx, p[0], p[1])
+			if err != nil {
+				if ctx.Err() == nil {
+					t.Fatalf("RPQ on valid grammar: %v", err)
+				}
+				return
+			}
+			reach, err := e.ReachableContext(ctx, p[0], p[1])
+			if err == nil && m != reach {
+				t.Fatalf("star RPQ(%d,%d) = %v, Reachable = %v", p[0], p[1], m, reach)
+			}
+		}
 	})
+}
+
+// terminalLabels returns the distinct terminal labels on the edges of
+// g's start graph and right-hand sides.
+func terminalLabels(g *grammar.Grammar) []hypergraph.Label {
+	seen := map[hypergraph.Label]bool{}
+	var out []hypergraph.Label
+	graphs := []*hypergraph.Graph{g.Start}
+	for _, nt := range g.Nonterminals() {
+		graphs = append(graphs, g.Rule(nt))
+	}
+	for _, h := range graphs {
+		for id := range h.EdgesSeq() {
+			if l := h.Label(id); g.IsTerminal(l) && !seen[l] {
+				seen[l] = true
+				out = append(out, l)
+			}
+		}
+	}
+	return out
 }
 
 // checkFuzzPair asserts Reachable(u,v) ⇔ Distance(u,v) finds a path

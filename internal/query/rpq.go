@@ -26,8 +26,12 @@ func NewNFA(n, start int) *NFA {
 		trans: map[int]map[hypergraph.Label][]int{}}
 }
 
-// AddTransition adds q --label--> p.
+// AddTransition adds q --label--> p. It panics if q or p is not a
+// state.
 func (a *NFA) AddTransition(q int, label hypergraph.Label, p int) {
+	if q < 0 || q >= a.States || p < 0 || p >= a.States {
+		panic(fmt.Sprintf("query: bad NFA transition q=%d p=%d for n=%d", q, p, a.States))
+	}
 	if a.trans[q] == nil {
 		a.trans[q] = map[hypergraph.Label][]int{}
 	}
@@ -66,61 +70,42 @@ func StarNFA(labels ...hypergraph.Label) *NFA {
 
 // RPQ is a regular path query evaluator prepared for one grammar and
 // one automaton. Preparation computes, bottom-up, the product
-// skeletons sk(A) ⊆ (ext × states)²: whether external node j can be
-// reached in state q' from external node i in state q inside val(A).
-// This extends the paper's Thm.-6 skeletons to the product with an
-// NFA — the "regular path queries" extension named in the paper's
-// conclusion as future work.
+// skeletons over (ext × states)²: the length of a shortest path inside
+// val(A) from external node i in state q to external node j in state
+// q', finite exactly when one exists. This extends the paper's Thm.-6
+// skeletons to the product with an NFA — the "regular path queries"
+// extension named in the paper's conclusion as future work — and is
+// the same fold that builds the engine's own skeletons, whose
+// automaton has one state.
 //
 // Like the Engine it is built from, a prepared RPQ is immutable: any
 // number of goroutines may call Matches on one shared RPQ (per-call
-// state lives in the engine's scratch pool). The automaton must not
-// be mutated after preparation.
+// state lives in the engine's scratch pool). The automaton is compiled
+// at preparation, so mutating the NFA afterwards does not change the
+// RPQ.
 type RPQ struct {
 	e   *Engine
-	nfa *NFA
-	// skel[ruleIdx(A)][i*Q+q][j*Q+q'] — product reachability among
-	// externals.
-	skel [][][]bool
+	aut automaton
+	// skel[ruleIdx(A)] — flat product skeletons, as Engine.dskel.
+	skel [][]int64
 }
 
-// NewRPQ prepares a regular path query evaluator in O(|G|·Q²) for Q
-// NFA states (bounded rank).
+// NewRPQ prepares a regular path query evaluator for Q NFA states:
+// one Dijkstra from each of the rank·Q external product nodes of every
+// right-hand side, over that right-hand side's product with the NFA,
+// so O(|G|·rank·Q²·log(|G|·Q)) for bounded rank and label fan-out.
 func (e *Engine) NewRPQ(nfa *NFA) *RPQ {
 	r, _ := e.NewRPQContext(context.Background(), nfa)
 	return r
 }
 
 // NewRPQContext is NewRPQ with cooperative cancellation: the product
-// skeleton precomputation polls ctx between rules, bounding the
-// O(|G|·Q²) preparation under a deadline.
+// skeleton precomputation polls ctx between rules and at Dijkstra
+// extractions.
 func (e *Engine) NewRPQContext(ctx context.Context, nfa *NFA) (*RPQ, error) {
-	r := &RPQ{e: e, nfa: nfa}
-	Q := nfa.States
+	r := &RPQ{e: e, aut: compileNFA(nfa, e.g.Terminals)}
 	tk := ticker{ctx: ctx}
-	skel, err := fold(e, &tk, "query: rpq skeletons", func(h *hypergraph.Graph, skel [][][]bool) ([][]bool, error) {
-		ext := h.Ext()
-		if len(ext) == 0 {
-			return nil, nil // the start graph has no external nodes
-		}
-		adj := r.productAdjacency(h, skel)
-		sk := make([][]bool, len(ext)*Q)
-		for i, src := range ext {
-			for q := 0; q < Q; q++ {
-				row := make([]bool, len(ext)*Q)
-				reach := bfsProduct(adj, prodNode{src, q})
-				for j, dst := range ext {
-					for p := 0; p < Q; p++ {
-						if (i != j || q != p) && reach[prodNode{dst, p}] {
-							row[j*Q+p] = true
-						}
-					}
-				}
-				sk[i*Q+q] = row
-			}
-		}
-		return sk, nil
-	})
+	skel, err := e.skeletons(&tk, "query: rpq skeletons", &r.aut)
 	if err != nil {
 		return nil, err
 	}
@@ -128,67 +113,11 @@ func (e *Engine) NewRPQContext(ctx context.Context, nfa *NFA) (*RPQ, error) {
 	return r, nil
 }
 
-type prodNode struct {
-	v hypergraph.NodeID
-	q int
-}
-
-// productAdjacency builds the product of a right-hand side with the
-// NFA: terminal edges advance the automaton, nested nonterminal edges
-// contribute their product skeletons (from skel, still under
-// construction during the fold).
-func (r *RPQ) productAdjacency(h *hypergraph.Graph, skel [][][]bool) map[prodNode][]prodNode {
-	Q := r.nfa.States
-	adj := map[prodNode][]prodNode{}
-	for id := range h.EdgesSeq() {
-		ed := h.Edge(id)
-		att := h.Att(id)
-		if r.e.g.IsTerminal(ed.Label) {
-			for q := 0; q < Q; q++ {
-				for _, p := range r.nfa.Next(q, ed.Label) {
-					a := prodNode{att[0], q}
-					adj[a] = append(adj[a], prodNode{att[1], p})
-				}
-			}
-			continue
-		}
-		sk := skel[r.e.ruleIdx(ed.Label)]
-		for iq := range sk {
-			i, q := iq/Q, iq%Q
-			for jp, ok := range sk[iq] {
-				if !ok {
-					continue
-				}
-				j, p := jp/Q, jp%Q
-				a := prodNode{att[i], q}
-				adj[a] = append(adj[a], prodNode{att[j], p})
-			}
-		}
-	}
-	return adj
-}
-
-func bfsProduct(adj map[prodNode][]prodNode, src prodNode) map[prodNode]bool {
-	reach := map[prodNode]bool{src: true}
-	queue := []prodNode{src}
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		for _, y := range adj[x] {
-			if !reach[y] {
-				reach[y] = true
-				queue = append(queue, y)
-			}
-		}
-	}
-	return reach
-}
-
 // Matches reports whether some path from derived node u to derived
 // node v spells a word the automaton accepts. Like Reachable, it glues
 // the right-hand sides along both G-representations (product
 // skeletons standing in for unexpanded subtrees) and runs one BFS in
-// the product, O(|G|·Q²) overall.
+// the product with the NFA, O(|G|·rank²·Q²) overall.
 func (r *RPQ) Matches(u, v int64) (bool, error) {
 	return r.MatchesContext(context.Background(), u, v)
 }
@@ -196,72 +125,16 @@ func (r *RPQ) Matches(u, v int64) (bool, error) {
 // MatchesContext is Matches with cooperative cancellation: ctx is
 // polled at product-BFS frontier expansions. Per-call state lives in
 // the engine's pooled scratch, so concurrent callers never share
-// mutable memory.
+// mutable memory. The empty path matches when u = v and the start
+// state accepts.
 func (r *RPQ) MatchesContext(ctx context.Context, u, v int64) (bool, error) {
 	e := r.e
 	s := e.getScratch()
 	defer e.putScratch(s)
-	if err := e.locateInto(&s.loc1, u); err != nil {
+	src, dst, err := e.expand(s, &r.aut, r.skel, u, v)
+	if err != nil {
 		return false, err
 	}
-	if err := e.locateInto(&s.loc2, v); err != nil {
-		return false, err
-	}
-	px := e.expandPathsInto(s, &s.loc1, &s.loc2)
-	Q := r.nfa.States
-
-	adj := s.padj
-	px.forEachEdge(func(instKey string, h *hypergraph.Graph, id hypergraph.EdgeID) {
-		ed := h.Edge(id)
-		att := h.Att(id)
-		if e.g.IsTerminal(ed.Label) {
-			a := px.canonical(instKey, att[0])
-			b := px.canonical(instKey, att[1])
-			for q := 0; q < Q; q++ {
-				for _, p := range r.nfa.Next(q, ed.Label) {
-					adj[pk{a, q}] = append(adj[pk{a, q}], pk{b, p})
-				}
-			}
-			return
-		}
-		sk := r.skel[e.ruleIdx(ed.Label)]
-		for iq := range sk {
-			i, q := iq/Q, iq%Q
-			for jp, ok := range sk[iq] {
-				if !ok {
-					continue
-				}
-				j, p := jp/Q, jp%Q
-				a := px.canonical(instKey, att[i])
-				b := px.canonical(instKey, att[j])
-				adj[pk{a, q}] = append(adj[pk{a, q}], pk{b, p})
-			}
-		}
-	})
-
-	src := pk{px.canonical(px.keyOf(&s.loc1), s.loc1.Node), r.nfa.Start}
-	dstNode := px.canonical(px.keyOf(&s.loc2), s.loc2.Node)
-	if src.n == dstNode && r.nfa.Accept[r.nfa.Start] {
-		return true, nil // empty path
-	}
-	seen := s.pseen
-	seen[src] = true
-	s.pqueue = append(s.pqueue[:0], src)
 	tk := ticker{ctx: ctx}
-	for head := 0; head < len(s.pqueue); head++ {
-		if err := tk.check("query: rpq match"); err != nil {
-			return false, err
-		}
-		x := s.pqueue[head]
-		if x.n == dstNode && r.nfa.Accept[x.q] {
-			return true, nil
-		}
-		for _, y := range adj[x] {
-			if !seen[y] {
-				seen[y] = true
-				s.pqueue = append(s.pqueue, y)
-			}
-		}
-	}
-	return false, nil
+	return s.pg.bfs(&tk, "query: rpq match", src, dst, r.aut.accept)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"graphrepair/internal/core"
+	"graphrepair/internal/grammar"
 	"graphrepair/internal/hypergraph"
 )
 
@@ -183,5 +184,61 @@ func TestRPQLabeledVersionGraph(t *testing.T) {
 	}
 	if matches != 2*8 { // two 1·2 paths per copy
 		t.Fatalf("matches = %d, want 16", matches)
+	}
+}
+
+// TestNFARejectsBadTransition pins that a transition naming a state
+// outside 0..States-1 panics at AddTransition, instead of being
+// accepted and breaking (or, under node·Q + state product indexing,
+// silently aliasing) a later Matches.
+func TestNFARejectsBadTransition(t *testing.T) {
+	for _, tc := range []struct{ q, p int }{{0, 5}, {5, 0}, {-1, 0}, {0, -1}, {2, 1}, {1, 2}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AddTransition(%d, 1, %d) on a 2-state NFA did not panic", tc.q, tc.p)
+				}
+			}()
+			NewNFA(2, 0).AddTransition(tc.q, 1, tc.p)
+		}()
+	}
+	NewNFA(2, 0).AddTransition(1, 1, 0) // in range: accepted
+}
+
+// TestRPQCycleThroughExternalNode pins the product skeleton entries
+// that return to the external node they leave in another automaton
+// state: the only 1·2·3 path from node 1 back to itself is a cycle
+// inside one rank-1 rule, so Matches(1, 1) needs the entry
+// (ext 0, state 0) → (ext 0, state 3).
+func TestRPQCycleThroughExternalNode(t *testing.T) {
+	rhs := hypergraph.New(3)
+	rhs.AddEdge(1, 1, 2)
+	rhs.AddEdge(2, 2, 3)
+	rhs.AddEdge(3, 3, 1)
+	rhs.SetExt(1)
+	start := hypergraph.New(1)
+	g := grammar.New(3, start)
+	start.AddEdge(g.AddRule(rhs), 1)
+	e, err := New(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	derived := mustDerive(t, g)
+	for _, nfa := range []*NFA{PathNFA(1, 2, 3), PathNFA(2, 3, 1, 2), StarNFA(1, 2, 3)} {
+		rpq := e.NewRPQ(nfa)
+		for u := int64(1); u <= e.NumNodes(); u++ {
+			for v := int64(1); v <= e.NumNodes(); v++ {
+				got, err := rpq.Matches(u, v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := bruteMatches(derived, nfa, hypergraph.NodeID(u), hypergraph.NodeID(v)); got != want {
+					t.Fatalf("%d-state NFA: Matches(%d,%d) = %v, want %v", nfa.States, u, v, got, want)
+				}
+			}
+		}
+	}
+	if ok, err := e.NewRPQ(PathNFA(1, 2, 3)).Matches(1, 1); err != nil || !ok {
+		t.Fatalf("Matches(1,1) over the cycle = %v, %v; want true", ok, err)
 	}
 }
