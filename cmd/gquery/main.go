@@ -19,7 +19,10 @@
 // over HTTP from any number of concurrent clients (see serve.go for
 // the protocol):
 //
-//	gquery -serve :8080 -reqtimeout 2s -max-inflight 64 -cache 4096 file.grpr
+//	gquery -serve :8080 -reqtimeout 2s -max-inflight 64 file.grpr
+//
+// The engine is compiled once, every query layer included, before the
+// server accepts traffic.
 package main
 
 import (
@@ -43,8 +46,6 @@ func main() {
 		timeout     = flag.Duration("timeout", 0, "abort after this duration (0 = none)")
 		serveAddr   = flag.String("serve", "", "serve queries over HTTP on this address (e.g. :8080)")
 		reqTimeout  = flag.Duration("reqtimeout", 5*time.Second, "per-request deadline in -serve mode (0 = none)")
-		precompute  = flag.Bool("precompute", true, "in -serve mode, build all memo layers before accepting traffic")
-		cacheSize   = flag.Int("cache", 0, "in -serve mode, LRU query-result cache entries (0 = off)")
 		maxInflight = flag.Int("max-inflight", 0, "in -serve mode, max concurrently executing queries (0 = 4×GOMAXPROCS); excess is queued briefly then shed with 429")
 		maxNodes    = flag.Int64("max-nodes", 0, "reject archives deriving more than this many nodes (0 = unlimited)")
 		maxEdges    = flag.Int64("max-edges", 0, "reject archives deriving more than this many edges (0 = unlimited)")
@@ -52,7 +53,7 @@ func main() {
 	flag.Parse()
 	if flag.NArg() != 1 || (*q == "" && *serveAddr == "") {
 		fmt.Fprintln(os.Stderr, "usage: gquery -q <query> [-from N] [-to N] <file.grpr>")
-		fmt.Fprintln(os.Stderr, "       gquery -serve <addr> [-reqtimeout D] [-max-inflight N] [-cache N] <file.grpr>")
+		fmt.Fprintln(os.Stderr, "       gquery -serve <addr> [-reqtimeout D] [-max-inflight N] <file.grpr>")
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
@@ -63,7 +64,6 @@ func main() {
 			ReqTimeout:  *reqTimeout,
 			MaxInflight: *maxInflight,
 			Limits:      lim,
-			Engine:      query.EngineOptions{Precompute: *precompute, CacheSize: *cacheSize},
 		})
 	} else {
 		err = run(flag.Arg(0), *q, *from, *to, *timeout, lim)

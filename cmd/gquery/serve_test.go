@@ -16,7 +16,6 @@ import (
 
 	"graphrepair/internal/encoding"
 	"graphrepair/internal/govern"
-	"graphrepair/internal/query"
 	"graphrepair/internal/serve"
 )
 
@@ -24,11 +23,10 @@ import (
 // it on an ephemeral loopback port, and returns the base URL plus a
 // shutdown function that triggers the graceful-drain path and reports
 // its error.
-func startServer(t *testing.T, path string, reqTimeout time.Duration, opts query.EngineOptions) (string, func() error) {
+func startServer(t *testing.T, path string, reqTimeout time.Duration) (string, func() error) {
 	t.Helper()
 	srv := serve.New(path, serve.Config{
 		ReqTimeout: reqTimeout,
-		Engine:     opts,
 		Logf:       t.Logf,
 	})
 	if err := srv.Reload(context.Background()); err != nil {
@@ -70,8 +68,7 @@ func get(t *testing.T, url string) (int, string) {
 // and readiness checks, every query kind, stats, bad-input rejection,
 // and a clean shutdown at the end.
 func TestServeSmoke(t *testing.T) {
-	base, shutdown := startServer(t, compressedFile(t), time.Minute,
-		query.EngineOptions{Precompute: true, CacheSize: 16})
+	base, shutdown := startServer(t, compressedFile(t), time.Minute)
 
 	if code, body := get(t, base+"/healthz"); code != http.StatusOK || !strings.Contains(body, "ok") {
 		t.Fatalf("/healthz = %d %q", code, body)
@@ -127,9 +124,11 @@ func TestServeSmoke(t *testing.T) {
 	// Malformed requests are 400s, not 500s.
 	for _, bad := range []string{
 		"/query?q=bogus",
-		"/query?q=reach&from=1",          // missing to
-		"/query?q=reach&from=x&to=2",     // malformed from
-		"/query?q=reach&from=1&to=99999", // out of range
+		"/query?q=reach&from=1",              // missing to
+		"/query?q=reach&from=x&to=2",         // malformed from
+		"/query?q=reach&from=1&to=99999",     // out of range
+		"/query?q=reach&from=99999&to=99999", // out-of-range self pair
+		"/query?q=dist&from=0&to=0",          // out-of-range self pair
 	} {
 		if code, body := get(t, base+bad); code != http.StatusBadRequest {
 			t.Errorf("GET %s = %d %q, want 400", bad, code, body)
@@ -143,11 +142,9 @@ func TestServeSmoke(t *testing.T) {
 
 // TestServeDeadlineExceeded pins the per-request deadline path: with a
 // vanishing -reqtimeout every query answers 503 (canceled maps to
-// 503, not 400), and the server stays healthy for later well-funded
-// requests (the engine's memo layers are not poisoned by the canceled
-// builds).
+// 503, not 400), and the server stays healthy.
 func TestServeDeadlineExceeded(t *testing.T) {
-	base, shutdown := startServer(t, compressedFile(t), time.Nanosecond, query.EngineOptions{})
+	base, shutdown := startServer(t, compressedFile(t), time.Nanosecond)
 	if code, body := get(t, base+"/query?q=reach&from=1&to=9"); code != http.StatusServiceUnavailable {
 		t.Fatalf("reach under 1ns deadline = %d %q, want 503", code, body)
 	}
@@ -164,8 +161,7 @@ func TestServeDeadlineExceeded(t *testing.T) {
 // over real HTTP connections — the end-to-end shape of the serving
 // architecture (run under -race in CI).
 func TestConcurrentServe(t *testing.T) {
-	base, shutdown := startServer(t, compressedFile(t), time.Minute,
-		query.EngineOptions{Precompute: true, CacheSize: 64})
+	base, shutdown := startServer(t, compressedFile(t), time.Minute)
 
 	// Compression renumbers nodes, so don't assume what reach(i,9)
 	// answers — pin each response sequentially first, then assert every
@@ -227,7 +223,7 @@ func TestServeSealedArchive(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	base, shutdown := startServer(t, sealed, time.Minute, query.EngineOptions{})
+	base, shutdown := startServer(t, sealed, time.Minute)
 	if code, body := get(t, base+"/query?q=reach&from=1&to=9"); code != http.StatusOK {
 		t.Fatalf("reach over sealed archive = %d %q", code, body)
 	}

@@ -77,9 +77,8 @@ func ExampleEngine_Distance() {
 }
 
 // ExampleNewEngineContext shows the serving pattern: compile one
-// engine (eager memo layers, bounded result cache), share it across
-// any number of goroutines, and bound each query with its own
-// deadline via the *Context methods.
+// engine, share it across any number of goroutines, and bound each
+// query with its own deadline via the *Context methods.
 func ExampleNewEngineContext() {
 	// A directed 9-cycle: every node reaches every other, whatever
 	// node numbering the compressed form derives.
@@ -89,11 +88,9 @@ func ExampleNewEngineContext() {
 	}
 	res, _ := graphrepair.Compress(g, 1, graphrepair.DefaultOptions())
 
-	// Compile once: Precompute builds every skeleton layer up front so
-	// no request pays a first-touch pass; CacheSize bounds an LRU over
-	// repeated results.
-	eng, err := graphrepair.NewEngineContext(context.Background(), res.Grammar,
-		graphrepair.EngineOptions{Precompute: true, CacheSize: 128})
+	// Compile once: construction builds every query layer, so no
+	// request runs a bottom-up pass.
+	eng, err := graphrepair.NewEngineContext(context.Background(), res.Grammar)
 	if err != nil {
 		panic(err)
 	}

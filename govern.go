@@ -87,22 +87,17 @@ func DecompressContext(ctx context.Context, buf []byte, lim Limits) (out *Graph,
 }
 
 // NewEngineContext is NewEngine with cooperative cancellation: the
-// engine's bottom-up precomputation polls ctx between rules. Pass a
-// per-query deadline to the engine's *Context query methods
-// (ReachableContext, NeighborsContext, DistanceContext,
-// NewRPQContext, MatchesContext) to bound individual queries.
+// engine's bottom-up passes poll ctx between rules. Pass a per-query
+// deadline to the engine's *Context query methods (ReachableContext,
+// NeighborsContext, DistanceContext, NewRPQContext, MatchesContext)
+// to bound individual queries.
 //
-// The built engine is immutable and safe for unlimited concurrent
-// readers — compile once, share across goroutines. At most one
-// EngineOptions may be given: Precompute moves every memo layer
-// (skeletons, aggregates) into construction so no query pays a
-// first-touch bottom-up pass, and CacheSize bounds an LRU over
-// repeated Reachable/Distance/Neighbors results.
-func NewEngineContext(ctx context.Context, g *Grammar, opts ...EngineOptions) (e *Engine, err error) {
+// Construction builds every query layer (skeletons, aggregates), so
+// no query runs a bottom-up pass. The built engine is immutable and
+// safe for unlimited concurrent readers — compile once, share across
+// goroutines. EngineOptions are accepted so that existing callers
+// still compile, and are ignored.
+func NewEngineContext(ctx context.Context, g *Grammar, _ ...EngineOptions) (e *Engine, err error) {
 	defer backstop("new engine", &err)
-	var o EngineOptions
-	if len(opts) > 0 {
-		o = opts[0]
-	}
-	return query.NewWithOptions(ctx, g, o)
+	return query.NewContext(ctx, g)
 }

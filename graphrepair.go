@@ -78,8 +78,8 @@ type (
 	Sizes = encoding.Sizes
 	// Engine answers queries over a grammar without decompressing.
 	Engine = query.Engine
-	// EngineOptions tunes an Engine for its workload (eager memo
-	// layers, bounded query-result cache) — see NewEngineContext.
+	// EngineOptions is accepted by NewEngine and ignored: an Engine
+	// has one configuration — see NewEngineContext.
 	EngineOptions = query.EngineOptions
 	// Direction selects neighborhood query direction.
 	Direction = query.Direction
@@ -150,9 +150,8 @@ func Decompress(buf []byte) (*Graph, error) {
 }
 
 // NewEngine builds a query engine over a grammar; queries then run on
-// the compressed representation. An optional EngineOptions tunes the
-// engine for serving workloads. For cancellation, see
-// NewEngineContext.
+// the compressed representation. EngineOptions are ignored. For
+// cancellation, see NewEngineContext.
 func NewEngine(g *Grammar, opts ...EngineOptions) (*Engine, error) {
 	return NewEngineContext(context.Background(), g, opts...)
 }

@@ -2,7 +2,7 @@ package query
 
 import (
 	"context"
-	"fmt"
+	"maps"
 	"slices"
 
 	"graphrepair/internal/buf"
@@ -22,7 +22,7 @@ func fold[T any](e *Engine, tk *ticker, op string, step func(h *hypergraph.Graph
 		if err := tk.check(op); err != nil {
 			return nil, err
 		}
-		s, err := step(e.rule(nt).rhs, sums)
+		s, err := step(e.g.Rule(nt), sums)
 		if err != nil {
 			return nil, err
 		}
@@ -48,54 +48,32 @@ func (e *Engine) Reachable(u, v int64) (bool, error) {
 }
 
 // ReachableContext is Reachable with cooperative cancellation: ctx is
-// polled during the skeleton precomputation and at BFS frontier
-// expansions, so a per-query deadline bounds even adversarial
-// grammars whose path expansions are large.
+// polled at BFS frontier expansions, so a per-query deadline bounds
+// even adversarial grammars whose path expansions are large.
 func (e *Engine) ReachableContext(ctx context.Context, u, v int64) (bool, error) {
 	if u == v {
-		return true, nil
-	}
-	key := cacheKey{op: opReach, a: u, b: v}
-	if e.cache != nil {
-		if cv, ok := e.cache.get(key); ok {
-			return cv.ok, nil
-		}
-	}
-	skel, err := e.distSkeletons(ctx)
-	if err != nil {
-		return false, err
+		err := e.checkNode(u)
+		return err == nil, err
 	}
 	s := e.getScratch()
 	defer e.putScratch(s)
-	src, dst, err := e.expand(s, &anyLabel, skel, u, v)
+	src, dst, err := e.expand(s, &anyLabel, e.skel, u, v)
 	if err != nil {
 		return false, err
 	}
 	// A skeleton arc's length does not matter here, only that it is
 	// finite.
 	tk := ticker{ctx: ctx}
-	found, err := s.pg.bfs(&tk, "query: reachable", src, dst, anyLabel.accept)
-	if err != nil {
-		return false, err
-	}
-	if e.cache != nil {
-		e.cache.put(key, cacheVal{ok: found})
-	}
-	return found, nil
+	return s.pg.bfs(&tk, "query: reachable", src, dst, anyLabel.accept)
 }
 
 // ComponentCount returns the number of weakly connected components of
 // val(G), computed in one bottom-up pass (a "compatible"/CMSO-style
 // speed-up query, Sec. V): every nonterminal contributes the partition
 // its derivation induces on its attachment nodes plus the count of
-// derived components that touch no external node. The pass runs once
-// per engine; subsequent calls return the memoized count.
-func (e *Engine) ComponentCount() int64 {
-	c, _ := e.comp.get(func() (int64, error) {
-		return e.componentCount(), nil
-	})
-	return c
-}
+// derived components that touch no external node. The pass runs
+// during construction.
+func (e *Engine) ComponentCount() int64 { return e.comps }
 
 // compSum is ComponentCount's fold value for one right-hand side.
 type compSum struct {
@@ -103,7 +81,7 @@ type compSum struct {
 	enclosed int64 // components of val(A) with no external node
 }
 
-func (e *Engine) componentCount() int64 {
+func (e *Engine) componentCount(tk *ticker) (int64, error) {
 	var parent, nodes []hypergraph.NodeID
 	find := func(x hypergraph.NodeID) hypergraph.NodeID {
 		for parent[x] != x {
@@ -113,7 +91,7 @@ func (e *Engine) componentCount() int64 {
 		return x
 	}
 	union := func(a, b hypergraph.NodeID) { parent[find(a)] = find(b) }
-	sums, _ := fold(e, &ticker{}, "query: component count", func(h *hypergraph.Graph, sums []compSum) (compSum, error) {
+	sums, err := fold(e, tk, "query: build engine", func(h *hypergraph.Graph, sums []compSum) (compSum, error) {
 		parent = buf.Grow(parent, int(h.MaxNodeID())+1)
 		for v := range parent {
 			parent[v] = hypergraph.NodeID(v)
@@ -156,24 +134,22 @@ func (e *Engine) componentCount() int64 {
 		s.enclosed -= int64(groups)
 		return s, nil
 	})
-	return sums[len(e.rules)].enclosed
+	if err != nil {
+		return 0, err
+	}
+	return sums[len(e.rules)].enclosed, nil
 }
 
 // DegreeStats returns the minimum and maximum degree over all nodes of
 // val(G) in the given direction, in one bottom-up pass (a CMSO-style
 // function query the paper lists as evaluable on the grammar). It
 // returns (0, 0) for a graph with no nodes. The pass covers all three
-// directions at once and runs once per engine; subsequent calls
-// return the memoized pairs.
+// directions at once and runs during construction.
 func (e *Engine) DegreeStats(dir Direction) (min, max int64, err error) {
-	if e.total == 0 {
-		return 0, 0, nil
-	}
-	mm, err := e.deg.get(e.degreeStats)
-	if err != nil {
+	if err := dir.check(); err != nil {
 		return 0, 0, err
 	}
-	return mm[dir][0], mm[dir][1], nil
+	return e.deg[dir][0], e.deg[dir][1], nil
 }
 
 // degSum is DegreeStats' fold value for one right-hand side; every
@@ -197,10 +173,10 @@ func (s *degSum) merge(min, max [3]int64) {
 	s.internal = true
 }
 
-func (e *Engine) degreeStats() ([3][2]int64, error) {
+func (e *Engine) degreeStats(tk *ticker) (mm [3][2]int64, err error) {
 	var deg [][3]int64
 	var nodes []hypergraph.NodeID
-	sums, _ := fold(e, &ticker{}, "query: degree stats", func(h *hypergraph.Graph, sums []degSum) (degSum, error) {
+	sums, err := fold(e, tk, "query: build engine", func(h *hypergraph.Graph, sums []degSum) (degSum, error) {
 		deg = buf.GrowClear(deg, int(h.MaxNodeID())+1)
 		var s degSum
 		for id := range h.EdgesSeq() {
@@ -235,11 +211,11 @@ func (e *Engine) degreeStats() ([3][2]int64, error) {
 		}
 		return s, nil
 	})
-	s := sums[len(e.rules)]
-	if !s.internal {
-		return [3][2]int64{}, fmt.Errorf("query: DegreeStats on empty graph")
+	if err != nil {
+		return mm, err
 	}
-	var mm [3][2]int64
+	// With no nodes, s.min and s.max stay zero.
+	s := sums[len(e.rules)]
 	for dir := range mm {
 		mm[dir] = [2]int64{s.min[dir], s.max[dir]}
 	}
@@ -247,21 +223,14 @@ func (e *Engine) degreeStats() ([3][2]int64, error) {
 }
 
 // LabelHistogram returns the number of terminal edges of val(G) per
-// label, in one bottom-up pass. The pass runs once per engine
-// (memoized); the returned map is a fresh copy the caller may mutate.
+// label, in one bottom-up pass. The pass runs during construction;
+// the returned map is a fresh copy the caller may mutate.
 func (e *Engine) LabelHistogram() map[hypergraph.Label]int64 {
-	h, _ := e.hist.get(func() (map[hypergraph.Label]int64, error) {
-		return e.labelHistogram(), nil
-	})
-	out := make(map[hypergraph.Label]int64, len(h))
-	for l, c := range h {
-		out[l] = c
-	}
-	return out
+	return maps.Clone(e.hist)
 }
 
-func (e *Engine) labelHistogram() map[hypergraph.Label]int64 {
-	sums, _ := fold(e, &ticker{}, "query: label histogram", func(h *hypergraph.Graph, sums []map[hypergraph.Label]int64) (map[hypergraph.Label]int64, error) {
+func (e *Engine) labelHistogram(tk *ticker) (map[hypergraph.Label]int64, error) {
+	sums, err := fold(e, tk, "query: build engine", func(h *hypergraph.Graph, sums []map[hypergraph.Label]int64) (map[hypergraph.Label]int64, error) {
 		out := make(map[hypergraph.Label]int64)
 		for id := range h.EdgesSeq() {
 			lab := h.Label(id)
@@ -275,5 +244,8 @@ func (e *Engine) labelHistogram() map[hypergraph.Label]int64 {
 		}
 		return out, nil
 	})
-	return sums[len(e.rules)]
+	if err != nil {
+		return nil, err
+	}
+	return sums[len(e.rules)], nil
 }

@@ -59,11 +59,9 @@ func buildConcurrentWorkload(t *testing.T, e *Engine, r *RPQ, queries int, seed 
 // TestConcurrentQueries is the shared-engine race regression test: N
 // goroutines hammer one Engine (and one prepared RPQ) with the full
 // query surface — Reachable, Neighbors, Distance, RPQ matches, plus
-// the memoized aggregates — and every answer must equal the
-// single-threaded precomputed one. Before the compile/query split,
-// the lazy skeleton memoization (e.dskel) wrote unsynchronized engine
-// fields and this test failed under -race on the first concurrent
-// Reachable+Distance pair.
+// the aggregates — and every answer must equal the single-threaded
+// precomputed one. Under -race it checks that the query phase writes
+// nothing but its pooled scratch.
 func TestConcurrentQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(411))
 	g := randomGraph(rng, 80, 240, 3)
@@ -71,88 +69,73 @@ func TestConcurrentQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []EngineOptions{
-		{},                                 // lazy memo layers, no cache
-		{Precompute: true},                 // eager compile phase
-		{CacheSize: 32},                    // small LRU under contention
-		{Precompute: true, CacheSize: 512}, // both
-	} {
-		e, err := NewWithOptions(context.Background(), res.Grammar, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := e.NewRPQ(StarNFA(1, 2))
-		w := buildConcurrentWorkload(t, e, r, 40, 1009)
+	e, err := New(res.Grammar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := e.NewRPQContext(context.Background(), StarNFA(1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := buildConcurrentWorkload(t, e, r, 40, 1009)
+	wantComp := e.ComponentCount()
+	wantMin, wantMax, err := e.DegreeStats(Both)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-		// Fresh engine for the concurrent phase: the lazy variants must
-		// survive first-touch memo builds racing across goroutines.
-		e2, err := NewWithOptions(context.Background(), res.Grammar, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r2, err := e2.NewRPQContext(context.Background(), StarNFA(1, 2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantComp := e.ComponentCount()
-		wantMin, wantMax, err := e.DegreeStats(Both)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		const goroutines = 8
-		var wg sync.WaitGroup
-		errs := make(chan error, goroutines)
-		for wkr := 0; wkr < goroutines; wkr++ {
-			wg.Add(1)
-			go func(wkr int) {
-				defer wg.Done()
-				for rep := 0; rep < 3; rep++ {
-					for q := range w.u {
-						i := (q + wkr*7) % len(w.u) // different interleavings per goroutine
-						u, v := w.u[i], w.v[i]
-						ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-						ok, err := e2.ReachableContext(ctx, u, v)
-						if err == nil && ok != w.reach[i] {
-							t.Errorf("worker %d: Reachable(%d,%d) = %v, want %v", wkr, u, v, ok, w.reach[i])
-						}
-						d, derr := e2.DistanceContext(ctx, u, v)
-						if derr == nil && d != w.dist[i] {
-							t.Errorf("worker %d: Distance(%d,%d) = %d, want %d", wkr, u, v, d, w.dist[i])
-						}
-						nb, nerr := e2.NeighborsContext(ctx, u, Both)
-						if nerr == nil && !equalIDs(nb, w.neighbors[i]) {
-							t.Errorf("worker %d: Neighbors(%d) = %v, want %v", wkr, u, nb, w.neighbors[i])
-						}
-						m, merr := r2.MatchesContext(ctx, u, v)
-						if merr == nil && m != w.rpqMatch[i] {
-							t.Errorf("worker %d: RPQ(%d,%d) = %v, want %v", wkr, u, v, m, w.rpqMatch[i])
-						}
-						cancel()
-						for _, err := range []error{err, derr, nerr, merr} {
-							if err != nil {
-								errs <- err
-								return
-							}
-						}
+	const goroutines = 8
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for wkr := 0; wkr < goroutines; wkr++ {
+		wg.Add(1)
+		go func(wkr int) {
+			defer wg.Done()
+			for rep := 0; rep < 3; rep++ {
+				for q := range w.u {
+					i := (q + wkr*7) % len(w.u) // different interleavings per goroutine
+					u, v := w.u[i], w.v[i]
+					ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+					ok, err := e.ReachableContext(ctx, u, v)
+					if err == nil && ok != w.reach[i] {
+						t.Errorf("worker %d: Reachable(%d,%d) = %v, want %v", wkr, u, v, ok, w.reach[i])
 					}
-					if c := e2.ComponentCount(); c != wantComp {
-						t.Errorf("worker %d: ComponentCount = %d, want %d", wkr, c, wantComp)
+					d, derr := e.DistanceContext(ctx, u, v)
+					if derr == nil && d != w.dist[i] {
+						t.Errorf("worker %d: Distance(%d,%d) = %d, want %d", wkr, u, v, d, w.dist[i])
 					}
-					if mn, mx, err := e2.DegreeStats(Both); err != nil {
-						errs <- err
-						return
-					} else if mn != wantMin || mx != wantMax {
-						t.Errorf("worker %d: DegreeStats = (%d,%d), want (%d,%d)", wkr, mn, mx, wantMin, wantMax)
+					nb, nerr := e.NeighborsContext(ctx, u, Both)
+					if nerr == nil && !equalIDs(nb, w.neighbors[i]) {
+						t.Errorf("worker %d: Neighbors(%d) = %v, want %v", wkr, u, nb, w.neighbors[i])
+					}
+					m, merr := r.MatchesContext(ctx, u, v)
+					if merr == nil && m != w.rpqMatch[i] {
+						t.Errorf("worker %d: RPQ(%d,%d) = %v, want %v", wkr, u, v, m, w.rpqMatch[i])
+					}
+					cancel()
+					for _, err := range []error{err, derr, nerr, merr} {
+						if err != nil {
+							errs <- err
+							return
+						}
 					}
 				}
-			}(wkr)
-		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			t.Fatalf("opts %+v: %v", opts, err)
-		}
+				if c := e.ComponentCount(); c != wantComp {
+					t.Errorf("worker %d: ComponentCount = %d, want %d", wkr, c, wantComp)
+				}
+				if mn, mx, err := e.DegreeStats(Both); err != nil {
+					errs <- err
+					return
+				} else if mn != wantMin || mx != wantMax {
+					t.Errorf("worker %d: DegreeStats = (%d,%d), want (%d,%d)", wkr, mn, mx, wantMin, wantMax)
+				}
+			}
+		}(wkr)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }
 
@@ -172,7 +155,7 @@ func TestConcurrentEngineBuildAndQuery(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e, err := NewWithOptions(context.Background(), res.Grammar, EngineOptions{Precompute: true})
+			e, err := New(res.Grammar)
 			if err != nil {
 				t.Error(err)
 				return

@@ -28,18 +28,6 @@ func addDist(a, b int64) int64 {
 	return min(a+b, maxDist-1)
 }
 
-// distSkeletons returns the min-plus skeletons (the product skeletons
-// of anyLabel), rule-indexed, computing them in one fold on first use
-// (eagerly under EngineOptions.Precompute). The pass polls ctx and is
-// memoized only on success, so a canceled build is retried by the
-// next query.
-func (e *Engine) distSkeletons(ctx context.Context) ([][]int64, error) {
-	return e.dskel.get(func() ([][]int64, error) {
-		tk := ticker{ctx: ctx}
-		return e.skeletons(&tk, "query: distance skeletons", &anyLabel)
-	})
-}
-
 // Distance returns the length of a shortest directed path from derived
 // node u to derived node v in val(G), or Unreachable. Like Reachable
 // it works on the path-expanded graph with (min-plus) skeletons
@@ -51,25 +39,14 @@ func (e *Engine) Distance(u, v int64) (int64, error) {
 }
 
 // DistanceContext is Distance with cooperative cancellation: ctx is
-// polled during the min-plus skeleton precomputation and at Dijkstra
-// frontier extractions.
+// polled at Dijkstra frontier extractions.
 func (e *Engine) DistanceContext(ctx context.Context, u, v int64) (int64, error) {
 	if u == v {
-		return 0, nil
-	}
-	key := cacheKey{op: opDist, a: u, b: v}
-	if e.cache != nil {
-		if cv, ok := e.cache.get(key); ok {
-			return cv.n, nil
-		}
-	}
-	skel, err := e.distSkeletons(ctx)
-	if err != nil {
-		return 0, err
+		return 0, e.checkNode(u)
 	}
 	s := e.getScratch()
 	defer e.putScratch(s)
-	src, dst, err := e.expand(s, &anyLabel, skel, u, v)
+	src, dst, err := e.expand(s, &anyLabel, e.skel, u, v)
 	if err != nil {
 		return 0, err
 	}
@@ -83,9 +60,6 @@ func (e *Engine) DistanceContext(ctx context.Context, u, v int64) (int64, error)
 	case result == maxDist-1:
 		return 0, fmt.Errorf("query: distance %d→%d: %w", u, v,
 			&govern.LimitError{Resource: "path length", Demanded: result, Allowed: maxDist - 2})
-	}
-	if e.cache != nil {
-		e.cache.put(key, cacheVal{n: result})
 	}
 	return result, nil
 }

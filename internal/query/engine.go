@@ -20,16 +20,13 @@
 //
 // The engine is built for grammar-resident serving: compile once,
 // query from any number of goroutines (DESIGN.md §13). Construction
-// is the compile phase — it derives every table the node numbering
-// of val(G) depends on into dense rule-indexed slices and leaves the
-// result immutable. Per-nonterminal summary layers (the min-plus
-// skeletons, the component/degree/label aggregates) are instances of
-// one bottom-up fold (analysis.go), memoized behind build-once guards
-// and computed either eagerly (EngineOptions.Precompute) or on the
-// first query that needs them; once built they are shared, lock-free,
-// by all readers. All per-query mutable state lives in pooled scratch
-// structs, and an optional bounded LRU (EngineOptions.CacheSize)
-// short-circuits repeated Reachable/Distance/Neighbors calls.
+// is the compile phase and the engine's one configuration. It derives
+// every table the node numbering of val(G) depends on into dense
+// rule-indexed slices, and builds every query layer (the min-plus
+// skeletons, the component, degree and label aggregates), each one
+// instance of the bottom-up fold (analysis.go). After that the engine
+// is immutable and shared lock-free by all readers; all per-query
+// mutable state lives in pooled scratch structs (scratch.go).
 package query
 
 import (
@@ -44,37 +41,23 @@ import (
 	"graphrepair/internal/hypergraph"
 )
 
-// EngineOptions tune an Engine for its workload. The zero value —
-// lazy memo layers, no result cache — matches the historical New
-// behavior and is right for one-shot CLI queries; a long-lived server
-// wants Precompute (pay the bottom-up passes at load time, before
-// traffic) and a CacheSize matched to its hot query set.
+// EngineOptions is kept so that existing callers still compile. The
+// engine has one configuration: NewWithOptions builds every query
+// layer whatever the options say.
 type EngineOptions struct {
-	// Precompute builds every memo layer (the min-plus skeletons
-	// behind Reachable and Distance, component count, degree stats
-	// for all three directions, label histogram) during construction,
-	// so no query ever runs a bottom-up pass. Construction respects
-	// the context passed to NewWithOptions/NewContext.
+	// Deprecated: every query layer is always built during
+	// construction; the field is ignored.
 	Precompute bool
-	// CacheSize bounds the query-result LRU in entries; 0 disables
-	// caching. Cached entries are keyed on (operation, arguments), so
-	// the cache is exact: it can only ever return what the engine
-	// would recompute.
-	CacheSize int
 }
 
 // Engine answers queries over one grammar. Building an Engine is the
-// compile phase: one bottom-up pass derives the per-nonterminal node
-// counts, per-rule derivation tables and start-graph block offsets
-// into dense label-indexed slices, after which the engine is
-// immutable — safe for unlimited concurrent readers. See the package
-// comment for the serving architecture.
+// compile phase: bottom-up passes derive the per-rule derivation
+// tables, the start-graph block offsets and every query layer, after
+// which the engine is immutable — safe for unlimited concurrent
+// readers. See the package comment for the serving architecture.
 type Engine struct {
-	g    *grammar.Grammar
-	opts EngineOptions
+	g *grammar.Grammar
 
-	// nodeCounts[ruleIdx(A)] = number of nodes an A-edge derives.
-	nodeCounts []int64
 	// rules[ruleIdx(A)] holds the per-rule derivation table.
 	rules []ruleInfo
 	// bottomUp caches the ≤NT order every bottom-up pass walks.
@@ -89,15 +72,13 @@ type Engine struct {
 	total    int64 // |val(G)|V
 	edges    int64 // terminal edges of val(G)
 
-	// Memo layers: computed once (under a lock, retried if canceled),
-	// then shared lock-free. See memo.go for the safety argument.
-	dskel memo[[][]int64]   // min-plus skeletons per rule, (rank)² flat
-	comp  memo[int64]       // weakly connected component count
-	deg   memo[[3][2]int64] // {min, max} degree per Direction
-	hist  memo[map[hypergraph.Label]int64]
+	// Query layers, one fold each (analysis.go, product.go).
+	skel  [][]int64   // min-plus skeletons per rule, rank² flat
+	comps int64       // weakly connected component count
+	deg   [3][2]int64 // {min, max} degree per Direction; zero if no nodes
+	hist  map[hypergraph.Label]int64
 
-	pool  sync.Pool // *scratch; see scratch.go
-	cache *lru      // nil when CacheSize == 0
+	pool sync.Pool // *scratch; see scratch.go
 }
 
 // ruleInfo caches the layout of one rule's derived block: internal
@@ -111,11 +92,10 @@ type ruleInfo struct {
 	intIndex  []int64
 	ntEdges   []hypergraph.EdgeID // ascending edge IDs
 	ntOffsets []int64             // block offset of each nested edge
-	derived   int64               // total nodes derived by one instance
 }
 
 // ruleIdx maps a nonterminal label to its dense index into
-// Engine.rules / Engine.nodeCounts.
+// Engine.rules.
 func (e *Engine) ruleIdx(l hypergraph.Label) int {
 	return int(l - e.g.Terminals - 1)
 }
@@ -125,74 +105,61 @@ func (e *Engine) rule(l hypergraph.Label) *ruleInfo {
 	return &e.rules[e.ruleIdx(l)]
 }
 
-// count returns the derived node count of nonterminal l.
-func (e *Engine) count(l hypergraph.Label) int64 {
-	return e.nodeCounts[e.ruleIdx(l)]
-}
-
-// New builds a query engine with default options. The grammar must be
-// valid; it is shared, not copied, and must not be mutated while the
-// engine is in use (the engine itself never mutates it).
+// New builds a query engine. The grammar must be valid; it is shared,
+// not copied, and must not be mutated while the engine is in use (the
+// engine itself never mutates it).
 func New(g *grammar.Grammar) (*Engine, error) {
 	return NewContext(context.Background(), g)
 }
 
 // NewContext is New with cooperative cancellation: the bottom-up
-// precomputation polls ctx between rules, so building an engine over
-// an adversarial many-rule grammar respects a deadline.
+// passes poll ctx between rules and during the skeletons' searches,
+// so building an engine over an adversarial many-rule grammar
+// respects a deadline.
 func NewContext(ctx context.Context, g *grammar.Grammar) (*Engine, error) {
-	return NewWithOptions(ctx, g, EngineOptions{})
-}
-
-// NewWithOptions is NewContext with explicit EngineOptions — the
-// entry point for long-lived concurrent serving.
-func NewWithOptions(ctx context.Context, g *grammar.Grammar, opts EngineOptions) (*Engine, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("query: %w", err)
 	}
-	e := &Engine{
-		g:    g,
-		opts: opts,
-		m:    int64(g.Start.NumNodes()),
-	}
-	if opts.CacheSize > 0 {
-		e.cache = newLRU(opts.CacheSize)
-	}
+	const op = "query: build engine"
 	tk := ticker{ctx: ctx}
-
-	// Bottom-up ≤NT order, computed once and reused by every memo
-	// layer (BottomUpOrder re-derives it per call).
-	e.bottomUp = g.BottomUpOrder()
-
-	// Dense derived node/edge counts (the map-shaped
-	// grammar.DerivedNodeCounts, flattened to one cache line per
-	// rule), saturating like the grammar's own analytic sizes.
 	nr := g.NumRules()
-	e.nodeCounts = make([]int64, nr)
-	edgeCounts := make([]int64, nr)
-	for _, nt := range e.bottomUp {
-		if err := tk.check("query: build engine"); err != nil {
-			return nil, err
-		}
-		r := g.Rule(nt)
-		n := int64(r.NumNodes() - r.Rank())
-		var ec int64
-		for id := range r.EdgesSeq() {
-			if lab := r.Label(id); g.IsTerminal(lab) {
-				ec = govern.SatAdd(ec, 1)
+	e := &Engine{
+		g:        g,
+		rules:    make([]ruleInfo, nr),
+		bottomUp: g.BottomUpOrder(),
+		m:        int64(g.Start.NumNodes()),
+	}
+
+	// Derived node and edge counts, saturating like the grammar's own
+	// analytic sizes; the start graph's are those of val(G).
+	type size struct{ nodes, edges int64 }
+	sizes, err := fold(e, &tk, op, func(h *hypergraph.Graph, sums []size) (size, error) {
+		s := size{nodes: int64(h.NumNodes() - h.Rank())}
+		for id := range h.EdgesSeq() {
+			if lab := h.Label(id); g.IsTerminal(lab) {
+				s.edges = govern.SatAdd(s.edges, 1)
 			} else {
-				n = govern.SatAdd(n, e.nodeCounts[e.ruleIdx(lab)])
-				ec = govern.SatAdd(ec, edgeCounts[e.ruleIdx(lab)])
+				in := sums[e.ruleIdx(lab)]
+				s.nodes = govern.SatAdd(s.nodes, in.nodes)
+				s.edges = govern.SatAdd(s.edges, in.edges)
 			}
 		}
-		e.nodeCounts[e.ruleIdx(nt)] = n
-		edgeCounts[e.ruleIdx(nt)] = ec
+		return s, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	e.total, e.edges = sizes[nr].nodes, sizes[nr].edges
+	if e.total == math.MaxInt64 {
+		// Derived IDs are int64; a saturated total means val(G) has
+		// too many nodes to number.
+		return nil, fmt.Errorf("query: %w", &govern.LimitError{
+			Resource: "derived nodes", Demanded: math.MaxInt64, Allowed: math.MaxInt64 - 1})
 	}
 
 	// Per-rule derivation tables.
-	e.rules = make([]ruleInfo, nr)
 	for _, nt := range g.Nonterminals() {
-		if err := tk.check("query: build engine"); err != nil {
+		if err := tk.check(op); err != nil {
 			return nil, err
 		}
 		rhs := g.Rule(nt)
@@ -210,26 +177,24 @@ func NewWithOptions(ctx context.Context, g *grammar.Grammar, opts EngineOptions)
 			if lab := rhs.Label(id); !g.IsTerminal(lab) {
 				ri.ntEdges = append(ri.ntEdges, id)
 				ri.ntOffsets = append(ri.ntOffsets, off)
-				off = govern.SatAdd(off, e.count(lab))
+				off = govern.SatAdd(off, sizes[e.ruleIdx(lab)].nodes)
 			}
 		}
-		ri.derived = off
 	}
 
 	// Start graph: canonical order = (label, attachment) ascending,
 	// matching grammar.Derive.
-	var nts []hypergraph.EdgeID
-	for id := range g.Start.EdgesSeq() {
-		if !g.IsTerminal(g.Start.Label(id)) {
-			nts = append(nts, id)
+	s := g.Start
+	for id := range s.EdgesSeq() {
+		if !g.IsTerminal(s.Label(id)) {
+			e.topEdges = append(e.topEdges, id)
 		}
 	}
-	s := g.Start
-	sort.Slice(nts, func(i, j int) bool {
-		if la, lb := s.Label(nts[i]), s.Label(nts[j]); la != lb {
+	sort.Slice(e.topEdges, func(i, j int) bool {
+		if la, lb := s.Label(e.topEdges[i]), s.Label(e.topEdges[j]); la != lb {
 			return la < lb
 		}
-		a, b := s.Att(nts[i]), s.Att(nts[j])
+		a, b := s.Att(e.topEdges[i]), s.Att(e.topEdges[j])
 		for k := 0; k < len(a) && k < len(b); k++ {
 			if a[k] != b[k] {
 				return a[k] < b[k]
@@ -238,25 +203,9 @@ func NewWithOptions(ctx context.Context, g *grammar.Grammar, opts EngineOptions)
 		return len(a) < len(b)
 	})
 	base := e.m
-	e.edges = 0
-	for id := range g.Start.EdgesSeq() {
-		if lab := g.Start.Label(id); g.IsTerminal(lab) {
-			e.edges = govern.SatAdd(e.edges, 1)
-		} else {
-			e.edges = govern.SatAdd(e.edges, edgeCounts[e.ruleIdx(lab)])
-		}
-	}
-	for _, id := range nts {
-		e.topEdges = append(e.topEdges, id)
+	for _, id := range e.topEdges {
 		e.topBase = append(e.topBase, base)
-		base = govern.SatAdd(base, e.count(s.Label(id)))
-	}
-	e.total = base
-	if e.total == math.MaxInt64 {
-		// Derived IDs are int64; a saturated total means val(G) has
-		// too many nodes to number.
-		return nil, fmt.Errorf("query: %w", &govern.LimitError{
-			Resource: "derived nodes", Demanded: math.MaxInt64, Allowed: math.MaxInt64 - 1})
+		base = govern.SatAdd(base, sizes[e.ruleIdx(s.Label(id))].nodes)
 	}
 
 	// Scrub the incidence chains of every graph the queries will
@@ -275,24 +224,32 @@ func NewWithOptions(ctx context.Context, g *grammar.Grammar, opts EngineOptions)
 	}
 	scrub(g.Start)
 	for _, nt := range e.bottomUp {
-		if err := tk.check("query: build engine"); err != nil {
+		if err := tk.check(op); err != nil {
 			return nil, err
 		}
 		scrub(g.Rule(nt))
 	}
 
-	if opts.Precompute {
-		if _, err := e.distSkeletons(ctx); err != nil {
-			return nil, err
-		}
-		e.ComponentCount()
-		// One degree pass memoizes all three directions.
-		if _, _, err := e.DegreeStats(Out); err != nil {
-			return nil, err
-		}
-		e.LabelHistogram()
+	// The query layers.
+	if e.skel, err = e.skeletons(&tk, op, &anyLabel); err != nil {
+		return nil, err
+	}
+	if e.comps, err = e.componentCount(&tk); err != nil {
+		return nil, err
+	}
+	if e.deg, err = e.degreeStats(&tk); err != nil {
+		return nil, err
+	}
+	if e.hist, err = e.labelHistogram(&tk); err != nil {
+		return nil, err
 	}
 	return e, nil
+}
+
+// NewWithOptions is NewContext; the options are ignored (see
+// EngineOptions).
+func NewWithOptions(ctx context.Context, g *grammar.Grammar, _ EngineOptions) (*Engine, error) {
+	return NewContext(ctx, g)
 }
 
 // NumNodes returns |val(G)|V: valid node IDs are 1..NumNodes().
@@ -301,24 +258,15 @@ func (e *Engine) NumNodes() int64 { return e.total }
 // NumEdges returns the number of terminal edges of val(G).
 func (e *Engine) NumEdges() int64 { return e.edges }
 
-// Stats is a point-in-time snapshot of a served engine, for
-// monitoring endpoints.
+// Stats describes a served engine, for monitoring endpoints.
 type Stats struct {
 	Nodes, Edges int64
 	Rules        int
-	CacheHits    uint64
-	CacheMisses  uint64
-	CacheEntries int
 }
 
-// EngineStats reports the engine's derived sizes and, when a result
-// cache is configured, its hit/miss counters.
+// EngineStats reports the engine's derived sizes.
 func (e *Engine) EngineStats() Stats {
-	st := Stats{Nodes: e.total, Edges: e.edges, Rules: len(e.rules)}
-	if e.cache != nil {
-		st.CacheHits, st.CacheMisses, st.CacheEntries = e.cache.stats()
-	}
-	return st
+	return Stats{Nodes: e.total, Edges: e.edges, Rules: len(e.rules)}
 }
 
 // Location is the G-representation of a derived node: a path of
@@ -352,8 +300,8 @@ func (e *Engine) Locate(k int64) (Location, error) {
 // reusing its slices — the allocation-free form the pooled query
 // scratch runs on.
 func (e *Engine) locateInto(loc *Location, k int64) error {
-	if k < 1 || k > e.total {
-		return fmt.Errorf("query: node ID %d out of range 1..%d", k, e.total)
+	if err := e.checkNode(k); err != nil {
+		return err
 	}
 	loc.Path = loc.Path[:0]
 	loc.Graphs = append(loc.Graphs[:0], e.g.Start)
@@ -383,6 +331,14 @@ func (e *Engine) locateInto(loc *Location, k int64) error {
 		edge = ri.ntEdges[j]
 		base += ri.ntOffsets[j]
 	}
+}
+
+// checkNode rejects k unless it is a derived node ID.
+func (e *Engine) checkNode(k int64) error {
+	if k < 1 || k > e.total {
+		return fmt.Errorf("query: node ID %d out of range 1..%d", k, e.total)
+	}
+	return nil
 }
 
 // resolveUp returns the derived ID of node v of level i of loc

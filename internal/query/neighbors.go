@@ -2,6 +2,7 @@ package query
 
 import (
 	"context"
+	"fmt"
 	"slices"
 
 	"graphrepair/internal/hypergraph"
@@ -17,6 +18,14 @@ const (
 	In
 	Both
 )
+
+// check rejects every Direction but Out, In and Both.
+func (d Direction) check() error {
+	if d < Out || d > Both {
+		return fmt.Errorf("query: direction %d is not Out, In or Both", d)
+	}
+	return nil
+}
 
 // Neighbors returns the derived node IDs adjacent to node k of val(G)
 // in the given direction, sorted ascending, computed directly on the
@@ -35,11 +44,8 @@ func (e *Engine) Neighbors(k int64, dir Direction) ([]int64, error) {
 // happens in the pooled scratch; the returned slice is a fresh copy
 // the caller owns.
 func (e *Engine) NeighborsContext(ctx context.Context, k int64, dir Direction) ([]int64, error) {
-	key := cacheKey{op: opNeighbors, a: k, dir: dir}
-	if e.cache != nil {
-		if cv, ok := e.cache.get(key); ok {
-			return slices.Clone(cv.ids), nil
-		}
+	if err := dir.check(); err != nil {
+		return nil, err
 	}
 	s := e.getScratch()
 	defer e.putScratch(s)
@@ -86,11 +92,7 @@ func (e *Engine) NeighborsContext(ctx context.Context, k int64, dir Direction) (
 			dedup = append(dedup, v)
 		}
 	}
-	res := slices.Clone(dedup)
-	if e.cache != nil {
-		e.cache.put(key, cacheVal{ids: slices.Clone(dedup)})
-	}
-	return res, nil
+	return slices.Clone(dedup), nil
 }
 
 // terminalNeighbor returns the neighbor of v along a rank-2 terminal

@@ -1,11 +1,13 @@
 package query
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
 
 	"graphrepair/internal/core"
+	"graphrepair/internal/gen"
 	"graphrepair/internal/govern"
 	"graphrepair/internal/grammar"
 	"graphrepair/internal/hypergraph"
@@ -337,5 +339,91 @@ func TestEngineRejectsDerivedSizeOverflow(t *testing.T) {
 	var le *govern.LimitError
 	if !errors.As(err, &le) || !errors.Is(err, govern.ErrLimit) {
 		t.Fatalf("error %v is not a *govern.LimitError", err)
+	}
+}
+
+// TestOutOfRangeSelfPair pins the range check ahead of the u == v
+// shortcut: a pair of one out-of-range ID is an error for every (s,t)
+// query, not a trivially reachable node at distance 0.
+func TestOutOfRangeSelfPair(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	e, _ := buildEngine(t, randomGraph(rng, 30, 60, 2), 2, core.DefaultOptions())
+	rpq := e.NewRPQ(StarNFA(1, 2))
+	for _, k := range []int64{0, -1, e.NumNodes() + 1, e.NumNodes() + 5} {
+		if ok, err := e.Reachable(k, k); err == nil || ok {
+			t.Errorf("Reachable(%d, %d) = %v, %v; want an error", k, k, ok, err)
+		}
+		if d, err := e.Distance(k, k); err == nil {
+			t.Errorf("Distance(%d, %d) = %d, nil; want an error", k, k, d)
+		}
+		if ok, err := rpq.Matches(k, k); err == nil {
+			t.Errorf("Matches(%d, %d) = %v, nil; want an error", k, k, ok)
+		}
+	}
+	if ok, err := e.Reachable(1, 1); err != nil || !ok {
+		t.Errorf("Reachable(1, 1) = %v, %v; want true", ok, err)
+	}
+	if d, err := e.Distance(1, 1); err != nil || d != 0 {
+		t.Errorf("Distance(1, 1) = %d, %v; want 0", d, err)
+	}
+}
+
+// TestBadDirection pins that every Direction but Out, In and Both is
+// an error for both queries that take one.
+func TestBadDirection(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	e, _ := buildEngine(t, randomGraph(rng, 30, 60, 2), 2, core.DefaultOptions())
+	for _, dir := range []Direction{-1, 3, 7} {
+		if mn, mx, err := e.DegreeStats(dir); err == nil {
+			t.Errorf("DegreeStats(%d) = %d, %d, nil; want an error", dir, mn, mx)
+		}
+		if nb, err := e.Neighbors(1, dir); err == nil {
+			t.Errorf("Neighbors(1, %d) = %v, nil; want an error", dir, nb)
+		}
+	}
+}
+
+// TestNewCanceled pins that construction, which runs every bottom-up
+// pass, honors its context: on a versions grammar with more rules
+// than the ticker's stride, an already-canceled context fails the
+// build with a cancellation error.
+func TestNewCanceled(t *testing.T) {
+	opts := core.DefaultOptions()
+	opts.Workers = 4
+	res, err := core.Compress(gen.DBLPVersionGraph(11, gen.DefaultDBLPParams(1)), 1, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Grammar.NumRules(); n <= frontierCheckStride {
+		t.Fatalf("grammar has %d rules, want more than %d", n, frontierCheckStride)
+	}
+	if _, err := NewContext(t.Context(), res.Grammar); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(t.Context())
+	cancel()
+	e, err := NewContext(ctx, res.Grammar)
+	if !errors.Is(err, govern.ErrCanceled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("NewContext on a canceled context = %v, %v; want a cancellation error", e, err)
+	}
+}
+
+// TestEngineOnTinyGrammars pins that construction succeeds on graphs
+// with no node and with one node, and that the eager aggregates
+// answer for them.
+func TestEngineOnTinyGrammars(t *testing.T) {
+	for n := range 2 {
+		e, err := New(grammar.New(1, hypergraph.New(n)))
+		if err != nil {
+			t.Fatalf("%d nodes: %v", n, err)
+		}
+		if got := e.ComponentCount(); got != int64(n) {
+			t.Errorf("%d nodes: ComponentCount = %d", n, got)
+		}
+		for _, dir := range []Direction{Out, In, Both} {
+			if mn, mx, err := e.DegreeStats(dir); mn != 0 || mx != 0 || err != nil {
+				t.Errorf("%d nodes: DegreeStats(%d) = %d, %d, %v; want 0, 0, nil", n, dir, mn, mx, err)
+			}
+		}
 	}
 }

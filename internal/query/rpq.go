@@ -86,7 +86,7 @@ func StarNFA(labels ...hypergraph.Label) *NFA {
 type RPQ struct {
 	e   *Engine
 	aut automaton
-	// skel[ruleIdx(A)] — flat product skeletons, as Engine.dskel.
+	// skel[ruleIdx(A)] — flat product skeletons, as Engine.skel.
 	skel [][]int64
 }
 

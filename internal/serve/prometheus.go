@@ -44,9 +44,6 @@ func renderPrometheus(w io.Writer, snap StatsSnapshot) {
 	gauge("gquery_engine_nodes", "Derived nodes of the served grammar.", snap.Engine.Nodes)
 	gauge("gquery_engine_edges", "Derived edges of the served grammar.", snap.Engine.Edges)
 	gauge("gquery_engine_rules", "Rules of the served grammar.", int64(snap.Engine.Rules))
-	counter("gquery_engine_cache_hits_total", "Query result cache hits.", snap.Engine.CacheHits)
-	counter("gquery_engine_cache_misses_total", "Query result cache misses.", snap.Engine.CacheMisses)
-	gauge("gquery_engine_cache_entries", "Query result cache entries.", int64(snap.Engine.CacheEntries))
 
 	const h = "gquery_request_duration_seconds"
 	fmt.Fprintf(w, "# HELP %s Admitted request wall time.\n# TYPE %s histogram\n", h, h)

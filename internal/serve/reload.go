@@ -48,7 +48,7 @@ func (s *Server) load(ctx context.Context) (*query.Engine, error) {
 			return nil, err
 		}
 	}
-	return query.NewWithOptions(ctx, g, s.cfg.Engine)
+	return query.NewContext(ctx, g)
 }
 
 // Reload atomically replaces the served engine with a freshly loaded

@@ -49,7 +49,7 @@ import (
 
 // Config tunes a Server. The zero value serves with sane defaults:
 // 4×GOMAXPROCS in-flight slots, an equal-depth wait queue, a 100ms
-// queue wait, no resource limits, lazy memo layers.
+// queue wait, no resource limits.
 type Config struct {
 	// ReqTimeout bounds each query request (0 = none).
 	ReqTimeout time.Duration
@@ -67,7 +67,9 @@ type Config struct {
 	// allocations, MaxNodes/MaxEdges reject bomb archives analytically
 	// (from rule sizes, before materialization) at load/reload time.
 	Limits govern.Limits
-	// Engine configures the compiled engine (Precompute, CacheSize).
+	// Engine is ignored: the engine has one configuration (see
+	// query.EngineOptions). It is kept so that existing callers still
+	// compile.
 	Engine query.EngineOptions
 	// Logf receives operational log lines (reload outcomes). Nil logs
 	// to stderr.
@@ -155,8 +157,7 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		// Readiness: the archive has been verified, decoded and
-		// compiled (including eager memo warmup when Engine.Precompute
-		// is set — NewWithOptions only returns after the warmup pass).
+		// compiled, every query layer included.
 		if s.engine.Load() == nil {
 			http.Error(w, "engine not loaded", http.StatusServiceUnavailable)
 			return
