@@ -204,7 +204,7 @@ func (g *Grammar) DeriveContext(ctx context.Context, lim govern.Limits) (*hyperg
 		}
 	}
 	// Then nonterminal edges in canonical (label, attachment) order.
-	for _, id := range g.sortedNTEdges(g.Start) {
+	for _, id := range g.SortedNTEdges(g.Start) {
 		att := g.Start.Att(id)
 		mapped := make([]hypergraph.NodeID, len(att))
 		for i, v := range att {

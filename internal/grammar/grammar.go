@@ -12,8 +12,9 @@
 package grammar
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"graphrepair/internal/hypergraph"
 )
@@ -288,28 +289,58 @@ func (g *Grammar) RefCounts() map[hypergraph.Label]int {
 	return ref
 }
 
-// sortedNTEdges returns the nonterminal edges of h sorted canonically
-// by (label, attachment sequence). This is the derivation order used
-// for the start graph so that encoder and decoder (which rebuilds the
-// start graph from matrices, losing insertion order) agree on val(G).
-func (g *Grammar) sortedNTEdges(h *hypergraph.Graph) []hypergraph.EdgeID {
-	var nts []hypergraph.EdgeID
+// SortedNTEdges returns the nonterminal edges of h sorted canonically
+// by (label, attachment sequence), ties broken by edge ID. This is the
+// derivation order used for the start graph so that encoder and
+// decoder (which rebuilds the start graph from matrices, losing
+// insertion order) agree on val(G), and the order in which the query
+// engine lays out the derived-ID blocks of the start graph's edges.
+//
+// The sort runs over pointer-free keys and never reads the graph: the
+// label and the first three attachment nodes are packed into two
+// words (IDs are positive int32s, and the edges of one label share its
+// rule's rank, so padding short attachments with 0 keeps the order),
+// and any further attachment nodes are copied into one flat slice.
+func (g *Grammar) SortedNTEdges(h *hypergraph.Graph) []hypergraph.EdgeID {
+	type key struct {
+		hi, lo uint64 // label·att[0], att[1]·att[2]
+		id     hypergraph.EdgeID
+		off    int32 // att[3:] starts at tail[off]
+	}
+	keys := make([]key, 0, h.NumEdges())
+	var tail []hypergraph.NodeID
 	for id := range h.EdgesSeq() {
-		if !g.IsTerminal(h.Label(id)) {
-			nts = append(nts, id)
+		lab := h.Label(id)
+		if g.IsTerminal(lab) {
+			continue
+		}
+		var a [3]uint64
+		att := h.Att(id)
+		for i := range min(len(att), 3) {
+			a[i] = uint64(att[i])
+		}
+		keys = append(keys, key{hi: uint64(lab)<<32 | a[0], lo: a[1]<<32 | a[2], id: id, off: int32(len(tail))})
+		if len(att) > 3 {
+			tail = append(tail, att[3:]...)
 		}
 	}
-	sort.Slice(nts, func(i, j int) bool {
-		if la, lb := h.Label(nts[i]), h.Label(nts[j]); la != lb {
-			return la < lb
+	slices.SortFunc(keys, func(a, b key) int {
+		if a.hi != b.hi {
+			return cmp.Compare(a.hi, b.hi)
 		}
-		a, b := h.Att(nts[i]), h.Att(nts[j])
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
+		if a.lo != b.lo {
+			return cmp.Compare(a.lo, b.lo)
+		}
+		if n := int32(g.Rule(hypergraph.Label(a.hi>>32)).Rank()) - 3; n > 0 {
+			if c := slices.Compare(tail[a.off:a.off+n], tail[b.off:b.off+n]); c != 0 {
+				return c
 			}
 		}
-		return len(a) < len(b)
+		return cmp.Compare(a.id, b.id)
 	})
+	nts := make([]hypergraph.EdgeID, len(keys))
+	for i, k := range keys {
+		nts[i] = k.id
+	}
 	return nts
 }

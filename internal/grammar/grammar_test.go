@@ -1,7 +1,9 @@
 package grammar
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -400,5 +402,55 @@ func TestStatsAndSummary(t *testing.T) {
 		if !strings.Contains(sum, want) {
 			t.Fatalf("summary missing %q:\n%s", want, sum)
 		}
+	}
+}
+
+// TestSortedNTEdgesOrder pins the packed-key sort against the plain
+// definition of the canonical order — (label, attachment sequence),
+// then edge ID — on a start graph with ranks 1 to 5 (so attachments
+// both shorter and longer than the packed prefix), parallel duplicate
+// edges and terminal edges interleaved.
+func TestSortedNTEdgesOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	start := hypergraph.New(8)
+	g := New(2, start)
+	var labels []hypergraph.Label
+	for r := 1; r <= 5; r++ {
+		rhs := hypergraph.New(r)
+		ext := make([]hypergraph.NodeID, r)
+		for i := range ext {
+			ext[i] = hypergraph.NodeID(i + 1)
+		}
+		rhs.SetExt(ext...)
+		labels = append(labels, g.AddRule(rhs))
+	}
+	for range 200 {
+		if rng.Intn(4) == 0 {
+			start.AddEdge(hypergraph.Label(1+rng.Intn(2)), hypergraph.NodeID(1+rng.Intn(4)), hypergraph.NodeID(5+rng.Intn(4)))
+			continue
+		}
+		r := 1 + rng.Intn(5)
+		// Few distinct attachments per rank, so duplicates are common.
+		att := rng.Perm(4 + r%2)[:r]
+		nodes := make([]hypergraph.NodeID, r)
+		for i, x := range att {
+			nodes[i] = hypergraph.NodeID(x + 1)
+		}
+		start.AddEdge(labels[r-1], nodes...)
+	}
+	var want []hypergraph.EdgeID
+	for id := range start.EdgesSeq() {
+		if !g.IsTerminal(start.Label(id)) {
+			want = append(want, id)
+		}
+	}
+	slices.SortStableFunc(want, func(a, b hypergraph.EdgeID) int {
+		if c := cmp.Compare(start.Label(a), start.Label(b)); c != 0 {
+			return c
+		}
+		return slices.Compare(start.Att(a), start.Att(b))
+	})
+	if got := g.SortedNTEdges(start); !slices.Equal(got, want) {
+		t.Fatalf("SortedNTEdges = %v, want %v", got, want)
 	}
 }

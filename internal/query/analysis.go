@@ -3,9 +3,11 @@ package query
 import (
 	"context"
 	"maps"
+	"math"
 	"slices"
 
 	"graphrepair/internal/buf"
+	"graphrepair/internal/govern"
 	"graphrepair/internal/hypergraph"
 )
 
@@ -37,34 +39,254 @@ func fold[T any](e *Engine, tk *ticker, op string, step func(h *hypergraph.Graph
 }
 
 // Reachable reports whether derived node v is reachable from derived
-// node u in val(G), evaluated in O(|G|) on the grammar (Thm. 6): the
-// right-hand sides along both G-representations are glued into one
-// "path-expanded" graph (with skeletons standing in for unexpanded
-// subtrees, and right-hand sides shared along the common prefix), and
-// a single BFS answers the query (product.go). This also covers the case where both
-// nodes lie in the same derivation subtree.
+// node u in val(G), evaluated on the grammar (Thm. 6) against S′, the
+// start graph with every nonterminal edge replaced by its skeleton
+// arcs, whose condensation the engine builds at compile time. Two
+// start nodes are answered by a DFS over that condensation. Otherwise
+// the right-hand sides along both G-representations are glued into a
+// "path-expanded" graph (skeletons standing in for unexpanded
+// subtrees, right-hand sides shared along the common prefix) whose
+// start-graph block carries no edges of its own: instead, a closure
+// arc a→b joins every a in K(u) and b in K(v) that S′ connects, where
+// K(x) is {x} for a start node x and otherwise the attachment of the
+// top-level edge x derives from. A single BFS then answers the query
+// (product.go). A path that leaves u's subtree and re-enters it is a
+// closure arc too, so this also covers both nodes lying in the same
+// derivation subtree.
 func (e *Engine) Reachable(u, v int64) (bool, error) {
 	return e.ReachableContext(context.Background(), u, v)
 }
 
 // ReachableContext is Reachable with cooperative cancellation: ctx is
-// polled at BFS frontier expansions, so a per-query deadline bounds
-// even adversarial grammars whose path expansions are large.
+// polled at condensation DFS steps and BFS frontier expansions, so a
+// per-query deadline bounds even adversarial grammars whose path
+// expansions are large.
 func (e *Engine) ReachableContext(ctx context.Context, u, v int64) (bool, error) {
+	const op = "query: reachable"
 	if u == v {
 		err := e.checkNode(u)
 		return err == nil, err
 	}
 	s := e.getScratch()
 	defer e.putScratch(s)
-	src, dst, err := e.expand(s, &anyLabel, e.skel, u, v)
+	tk := ticker{ctx: ctx}
+	if 1 <= u && u <= e.m && 1 <= v && v <= e.m {
+		cu, cv := e.scc[u], e.scc[v]
+		if cu == cv {
+			return true, nil
+		}
+		if cv > cu { // condensed arcs only run to lower indexes
+			return false, nil
+		}
+		err := e.sccReach(s, &tk, op, cu, cv)
+		return err == nil && s.seen[cv] == s.stamp, err
+	}
+	src, dst, err := e.expand(s, &anyLabel, e.skel, u, v, false)
 	if err != nil {
 		return false, err
 	}
+	var ku, kv [1]hypergraph.NodeID
+	from, to := e.closureEnds(&s.loc1, &ku), e.closureEnds(&s.loc2, &kv)
+	lo := int32(math.MaxInt32)
+	for _, b := range to {
+		lo = min(lo, e.scc[b])
+	}
+	for _, a := range from {
+		if e.scc[a] < lo {
+			continue // every SCC of K(v) lies above a's
+		}
+		if err := e.sccReach(s, &tk, op, e.scc[a], lo); err != nil {
+			return false, err
+		}
+		for _, b := range to {
+			// anyLabel has one state, so product nodes are IDs.
+			if a != b && s.seen[e.scc[b]] == s.stamp {
+				s.pg.addArc(int32(a), int32(b), 1)
+			}
+		}
+	}
 	// A skeleton arc's length does not matter here, only that it is
 	// finite.
-	tk := ticker{ctx: ctx}
-	return s.pg.bfs(&tk, "query: reachable", src, dst, anyLabel.accept)
+	return s.pg.bfs(&tk, op, src, dst, anyLabel.accept)
+}
+
+// closureEnds returns K(x) for the node loc locates: the attachment of
+// its top-level edge, or the start node itself, held in one.
+func (e *Engine) closureEnds(loc *Location, one *[1]hypergraph.NodeID) []hypergraph.NodeID {
+	if len(loc.Path) > 0 {
+		return e.g.Start.Att(loc.Path[0])
+	}
+	one[0] = loc.Node
+	return one[:]
+}
+
+// sccReach runs a DFS over the condensation of S′ from SCC from and
+// stamps every SCC it visits with a fresh s.stamp in s.seen. It visits
+// only SCCs of index ≥ lo: condensed arcs run from higher indexes to
+// lower ones, so no SCC below lo leads back up.
+func (e *Engine) sccReach(s *scratch, tk *ticker, op string, from, lo int32) error {
+	if s.stamp++; s.stamp == 0 || len(s.seen) != len(e.sccOff)-1 {
+		s.seen = buf.GrowClear(s.seen, len(e.sccOff)-1)
+		s.stamp = 1
+	}
+	s.seen[from] = s.stamp
+	s.stack = append(s.stack[:0], from)
+	for len(s.stack) > 0 {
+		if err := tk.check(op); err != nil {
+			return err
+		}
+		c := s.stack[len(s.stack)-1]
+		s.stack = s.stack[:len(s.stack)-1]
+		for _, d := range e.sccTo[e.sccOff[c]:e.sccOff[c+1]] {
+			if d >= lo && s.seen[d] != s.stamp {
+				s.seen[d] = s.stamp
+				s.stack = append(s.stack, d)
+			}
+		}
+	}
+	return nil
+}
+
+// condense builds the condensation of S′ (Engine.scc, sccOff, sccTo).
+// Two attachment nodes of one edge whose skeleton entries run both
+// ways lie in one SCC, so a union-find merges them while S′ is read;
+// on start graphs of rank-2 nonterminal edges that leaves few arcs.
+// The remaining one-way arcs, between union-find roots, go into a
+// CSR, and an iterative Tarjan over the roots numbers the SCCs.
+// Tarjan completes an SCC only after every SCC it reaches, so the
+// numbering is a reverse topological order, and an SCC's condensed
+// arcs are known the moment it completes.
+func (e *Engine) condense(tk *ticker, op string) error {
+	s := e.g.Start
+	n := int32(s.MaxNodeID()) + 1
+	parent := make([]int32, n) // union-find forest
+	off := make([]int32, n+1)  // CSR offsets of the arcs out of each root
+	// Tarjan's state: cur[x] is the next arc examined out of x,
+	// index[x] is x's preorder number + 1 (0 = unvisited), low[x] > 0
+	// while x is on the stack, frames is the DFS path, and last[d] =
+	// c+1 once SCC c has an arc to SCC d.
+	cur, index, low, last := make([]int32, n), make([]int32, n), make([]int32, n), make([]int32, n)
+	stack, frames := make([]int32, 0, n), make([]int32, 0, n)
+	offs := append(make([]int32, 0, n+1), 0) // sccOff as it grows
+	comp := make([]int32, n)
+	for x := range parent {
+		parent[x] = int32(x)
+	}
+	find := func(x int32) int32 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	var pairs []int32 // one-way arcs of S′, source then target
+	for id := range s.EdgesSeq() {
+		att := s.Att(id)
+		lab := s.Label(id)
+		if e.g.IsTerminal(lab) {
+			pairs = append(pairs, int32(att[0]), int32(att[1]))
+			continue
+		}
+		sk := e.skel[e.ruleIdx(lab)]
+		r := len(att)
+		for i := range r {
+			for j := i + 1; j < r; j++ {
+				x, y := int32(att[i]), int32(att[j])
+				switch fwd, back := sk[i*r+j] < maxDist, sk[j*r+i] < maxDist; {
+				case fwd && back:
+					parent[find(x)] = find(y)
+				case fwd:
+					pairs = append(pairs, x, y)
+				case back:
+					pairs = append(pairs, y, x)
+				}
+			}
+		}
+	}
+	for k, x := range pairs {
+		pairs[k] = find(x)
+	}
+	for k := 0; k < len(pairs); k += 2 {
+		if pairs[k] != pairs[k+1] {
+			off[pairs[k]+1]++
+		}
+	}
+	for x := range n {
+		off[x+1] += off[x]
+	}
+	to := make([]int32, off[n])
+	copy(cur, off)
+	for k := 0; k < len(pairs); k += 2 {
+		if x := pairs[k]; x != pairs[k+1] {
+			to[cur[x]] = pairs[k+1]
+			cur[x]++
+		}
+	}
+
+	// Tarjan over the roots. The condensed arcs are gathered in the
+	// spent pairs buffer, which holds at least len(to) entries.
+	gathered := pairs[:0]
+	visited := int32(0)
+	visit := func(x int32) {
+		visited++
+		index[x], low[x], cur[x] = visited, visited, off[x]
+		stack = append(stack, x)
+		frames = append(frames, x)
+	}
+	for root := int32(1); root < n; root++ {
+		if parent[root] != root || index[root] != 0 {
+			continue
+		}
+		visit(root)
+		for len(frames) > 0 {
+			if err := tk.check(op); err != nil {
+				return err
+			}
+			x := frames[len(frames)-1]
+			if cur[x] < off[x+1] {
+				y := to[cur[x]]
+				cur[x]++
+				if index[y] == 0 {
+					visit(y)
+				} else if low[y] > 0 { // y is on the stack
+					low[x] = min(low[x], index[y])
+				}
+				continue
+			}
+			frames = frames[:len(frames)-1]
+			if len(frames) > 0 {
+				p := frames[len(frames)-1]
+				low[p] = min(low[p], low[x])
+			}
+			if low[x] != index[x] {
+				continue
+			}
+			// x completes SCC c: stack[k:].
+			k := len(stack) - 1
+			for stack[k] != x {
+				k--
+			}
+			c := int32(len(offs) - 1)
+			for _, y := range stack[k:] {
+				comp[y], low[y] = c, 0
+			}
+			for _, y := range stack[k:] {
+				for _, z := range to[off[y]:off[y+1]] {
+					if d := comp[z]; d != c && last[d] != c+1 {
+						last[d] = c + 1
+						gathered = append(gathered, d)
+					}
+				}
+			}
+			offs = append(offs, int32(len(gathered)))
+			stack = stack[:k]
+		}
+	}
+	for x := range comp {
+		comp[x] = comp[find(int32(x))]
+	}
+	e.scc, e.sccOff, e.sccTo = comp, slices.Clone(offs), slices.Clone(gathered)
+	return nil
 }
 
 // ComponentCount returns the number of weakly connected components of
@@ -183,16 +405,16 @@ func (e *Engine) degreeStats(tk *ticker) (mm [3][2]int64, err error) {
 			att := h.Att(id)
 			lab := h.Label(id)
 			if e.g.IsTerminal(lab) {
-				deg[att[0]][Out]++
-				deg[att[0]][Both]++
-				deg[att[1]][In]++
-				deg[att[1]][Both]++
+				deg[att[0]][Out] = govern.SatAdd(deg[att[0]][Out], 1)
+				deg[att[0]][Both] = govern.SatAdd(deg[att[0]][Both], 1)
+				deg[att[1]][In] = govern.SatAdd(deg[att[1]][In], 1)
+				deg[att[1]][Both] = govern.SatAdd(deg[att[1]][Both], 1)
 				continue
 			}
 			in := &sums[e.ruleIdx(lab)]
 			for pos, d := range in.ext {
 				for dir, n := range d {
-					deg[att[pos]][dir] += n
+					deg[att[pos]][dir] = govern.SatAdd(deg[att[pos]][dir], n)
 				}
 			}
 			if in.internal {
@@ -235,11 +457,11 @@ func (e *Engine) labelHistogram(tk *ticker) (map[hypergraph.Label]int64, error) 
 		for id := range h.EdgesSeq() {
 			lab := h.Label(id)
 			if e.g.IsTerminal(lab) {
-				out[lab]++
+				out[lab] = govern.SatAdd(out[lab], 1)
 				continue
 			}
 			for l, c := range sums[e.ruleIdx(lab)] {
-				out[l] += c
+				out[l] = govern.SatAdd(out[l], c)
 			}
 		}
 		return out, nil

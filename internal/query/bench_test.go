@@ -5,6 +5,10 @@ import (
 	"testing"
 
 	"graphrepair/internal/core"
+	"graphrepair/internal/encoding"
+	"graphrepair/internal/gen"
+	"graphrepair/internal/grammar"
+	"graphrepair/internal/hypergraph"
 )
 
 // benchEngine compiles a fixed random graph into an engine, shared by
@@ -52,4 +56,92 @@ func BenchmarkConcurrentQueries(b *testing.B) {
 			i++
 		}
 	})
+}
+
+// BenchmarkPairQueries measures the compile phase and warm
+// engine-direct (s,t)-queries on one input of each (s,t)-heavy
+// perfbench workload: a coauthorship graph at a quarter of ca-grqc
+// (most start edges nonterminal) and the dblp60-70 version graph
+// compressed on the sharded path (a deep grammar). Query pairs are
+// uniform over the derived nodes, as in perfbench's replay.
+func BenchmarkPairQueries(b *testing.B) {
+	inputs := []struct {
+		name    string
+		g       *hypergraph.Graph
+		workers int
+	}{
+		{"network", gen.Coauthorship(5242/4, 28980/4, 4, 601), 0},
+		{"versions", gen.DBLPVersionGraph(11, gen.DefaultDBLPParams(601)), 4},
+	}
+	for _, in := range inputs {
+		ls := in.g.Labels()
+		opts := core.DefaultOptions()
+		opts.Workers = in.workers
+		res, err := core.Compress(in.g, ls[len(ls)-1], opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		e, err := New(res.Grammar)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(13))
+		pairs := make([][2]int64, 1024)
+		for i := range pairs {
+			pairs[i] = [2]int64{1 + rng.Int63n(e.NumNodes()), 1 + rng.Int63n(e.NumNodes())}
+		}
+		// A served engine is built from a decoded grammar, whose start
+		// graph is rebuilt from matrices in a different edge order.
+		payload, _, err := encoding.Encode(res.Grammar)
+		if err != nil {
+			b.Fatal(err)
+		}
+		decoded, err := encoding.Decode(payload)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range []struct {
+			name string
+			g    *grammar.Grammar
+		}{{"New", res.Grammar}, {"NewDecoded", decoded}} {
+			b.Run(in.name+"/"+c.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					if _, err := New(c.g); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+		// The condensation of S′ alone, rebuilt from the skeletons
+		// (into the same fields, with the same result).
+		b.Run(in.name+"/condense", func(b *testing.B) {
+			b.ReportAllocs()
+			var tk ticker
+			for b.Loop() {
+				if err := e.condense(&tk, "bench"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		for _, q := range []struct {
+			name string
+			run  func(u, v int64) error
+		}{
+			{"Reachable", func(u, v int64) error { _, err := e.Reachable(u, v); return err }},
+			{"Distance", func(u, v int64) error { _, err := e.Distance(u, v); return err }},
+		} {
+			b.Run(in.name+"/"+q.name, func(b *testing.B) {
+				b.ReportAllocs()
+				i := 0
+				for b.Loop() {
+					p := pairs[i%len(pairs)]
+					if err := q.run(p[0], p[1]); err != nil {
+						b.Fatal(err)
+					}
+					i++
+				}
+			})
+		}
+	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"graphrepair/internal/core"
 	"graphrepair/internal/gen"
+	"graphrepair/internal/grammar"
 	"graphrepair/internal/hypergraph"
 )
 
@@ -43,11 +44,129 @@ func TestQueryDifferentialCatalog(t *testing.T) {
 				}
 				derived := mustDerive(t, res.Grammar)
 				checkAggregates(t, e, derived)
+				checkCondensation(t, e)
 				pairs := differentialPairs(t, e, derived, int64(len(name)))
 				checkPairs(t, e, derived, pairs)
 				checkMatches(t, e, derived, d.Labels, pairs)
 				checkNeighbors(t, e, derived, pairs)
 			})
+		}
+	}
+}
+
+// reenterGrammar derives a graph whose nodes 3 and 4 connect only by
+// leaving the expansion of the one nonterminal edge and re-entering
+// it: rule A (rank 2, ext 1, 2) has edges 3→1 and 2→4, and the start
+// graph has the terminal edge 1→2 and A(1, 2).
+func reenterGrammar() *grammar.Grammar {
+	start := hypergraph.New(2)
+	g := grammar.New(1, start)
+	a := hypergraph.New(4)
+	a.AddEdge(1, 3, 1)
+	a.AddEdge(1, 2, 4)
+	a.SetExt(1, 2)
+	start.AddEdge(1, 1, 2)
+	start.AddEdge(g.AddRule(a), 1, 2)
+	return g
+}
+
+// chainedSCCGrammar derives a graph whose S′ has three two-node SCCs
+// joined one way, {1,2} → {3,4} → {5,6}: B(1, 2) and B(3, 4) are
+// cycles through both external nodes (a skeleton that runs both
+// ways), C(2, 3) is a one-way path, 4→5 is a terminal edge and 5⇄6 a
+// terminal cycle. Every nonterminal edge has an internal node.
+func chainedSCCGrammar() *grammar.Grammar {
+	start := hypergraph.New(6)
+	g := grammar.New(1, start)
+	b := hypergraph.New(3)
+	b.AddEdge(1, 1, 3)
+	b.AddEdge(1, 3, 2)
+	b.AddEdge(1, 2, 1)
+	b.SetExt(1, 2)
+	c := hypergraph.New(3)
+	c.AddEdge(1, 1, 3)
+	c.AddEdge(1, 3, 2)
+	c.SetExt(1, 2)
+	lb, lc := g.AddRule(b), g.AddRule(c)
+	start.AddEdge(lb, 1, 2)
+	start.AddEdge(lb, 3, 4)
+	start.AddEdge(lc, 2, 3)
+	start.AddEdge(1, 4, 5)
+	start.AddEdge(1, 5, 6)
+	start.AddEdge(1, 6, 5)
+	return g
+}
+
+// allPairs returns every ordered pair of derived nodes 1..n.
+func allPairs(n int64) [][2]int64 {
+	var pairs [][2]int64
+	for u := int64(1); u <= n; u++ {
+		for v := int64(1); v <= n; v++ {
+			pairs = append(pairs, [2]int64{u, v})
+		}
+	}
+	return pairs
+}
+
+// TestClosureReenter pins the closure arcs Reachable adds between the
+// attachment nodes of one top-level edge: derived nodes 3 and 4 of
+// A(1, 2) are connected only through the start edge 1→2, outside A's
+// expansion, so a layout that drops the closure arcs when both nodes
+// derive from one top-level edge answers (3, 4) wrongly.
+func TestClosureReenter(t *testing.T) {
+	g := reenterGrammar()
+	e, err := New(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPairs(t, e, mustDerive(t, g), allPairs(e.NumNodes()))
+	if ok, err := e.Reachable(3, 4); err != nil || !ok {
+		t.Fatalf("Reachable(3, 4) = %v, %v; want true", ok, err)
+	}
+	checkCondensation(t, e)
+}
+
+// TestClosureChainedSCCs pins Reachable on an S′ whose condensation
+// has arcs between multi-node SCCs, merged both by the union-find
+// (B's two-way skeleton) and by Tarjan (the terminal cycle 5⇄6).
+func TestClosureChainedSCCs(t *testing.T) {
+	g := chainedSCCGrammar()
+	e, err := New(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPairs(t, e, mustDerive(t, g), allPairs(e.NumNodes()))
+	checkCondensation(t, e)
+	size := map[int32]int{}
+	for x := 1; x <= 6; x++ {
+		size[e.scc[x]]++
+	}
+	if len(size) != 3 || len(e.sccTo) != 2 {
+		t.Fatalf("condensation has SCC sizes %v and %d arcs, want three SCCs of 2 and 2 arcs", size, len(e.sccTo))
+	}
+	for _, p := range [][2]int{{1, 2}, {3, 4}, {5, 6}} {
+		if e.scc[p[0]] != e.scc[p[1]] {
+			t.Fatalf("start nodes %d and %d are in SCCs %d and %d, want one", p[0], p[1], e.scc[p[0]], e.scc[p[1]])
+		}
+	}
+}
+
+// checkCondensation checks the invariant Reachable's pruned DFS rests
+// on: every condensed arc of S′ runs from a higher SCC index to a
+// lower one, and each start node has an SCC.
+func checkCondensation(t *testing.T, e *Engine) {
+	t.Helper()
+	nc := int32(len(e.sccOff) - 1)
+	for x := int64(1); x <= e.m; x++ {
+		if c := e.scc[x]; c < 0 || c >= nc {
+			t.Fatalf("start node %d has SCC %d of %d", x, c, nc)
+		}
+	}
+	for c := range nc {
+		for _, d := range e.sccTo[e.sccOff[c]:e.sccOff[c+1]] {
+			if d >= c {
+				t.Fatalf("condensed arc %d→%d does not run to a lower index", c, d)
+			}
 		}
 	}
 }

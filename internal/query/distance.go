@@ -46,7 +46,7 @@ func (e *Engine) DistanceContext(ctx context.Context, u, v int64) (int64, error)
 	}
 	s := e.getScratch()
 	defer e.putScratch(s)
-	src, dst, err := e.expand(s, &anyLabel, e.skel, u, v)
+	src, dst, err := e.expand(s, &anyLabel, e.skel, u, v, true)
 	if err != nil {
 		return 0, err
 	}

@@ -8,7 +8,13 @@
 //   - Reachability and distance (Thm. 6): (s,t)-queries in O(|G|)
 //     via per-nonterminal skeletons. The engine keeps one skeleton,
 //     the min-plus matrix of shortest path lengths between a rule's
-//     external nodes; reachability is a finite entry.
+//     external nodes; reachability is a finite entry. For Reachable
+//     the engine also condenses S′, the start graph with every
+//     nonterminal edge replaced by its skeleton arcs, at compile
+//     time: two start nodes are answered by a DFS over the condensed
+//     DAG, and any other pair lays out only the right-hand sides
+//     along its two G-representations, joined by at most rank²
+//     S′-closure arcs between their top-level attachment nodes.
 //   - Speed-up queries evaluated in one bottom-up pass: number of
 //     weakly connected components, minimum/maximum degree, node and
 //     edge counts, the label histogram.
@@ -72,11 +78,18 @@ type Engine struct {
 	total    int64 // |val(G)|V
 	edges    int64 // terminal edges of val(G)
 
-	// Query layers, one fold each (analysis.go, product.go).
+	// Query layers, one fold each (analysis.go, product.go), and the
+	// condensation of S′ built from the skeletons (analysis.go).
 	skel  [][]int64   // min-plus skeletons per rule, rank² flat
 	comps int64       // weakly connected component count
 	deg   [3][2]int64 // {min, max} degree per Direction; zero if no nodes
 	hist  map[hypergraph.Label]int64
+	// S′ is the start graph with every nonterminal edge replaced by
+	// the finite entries of its skeleton. scc[x] is the SCC of start
+	// node x in Tarjan's completion order, and SCC c's arcs to other
+	// SCCs are sccTo[sccOff[c]:sccOff[c+1]]. Every such arc runs from
+	// a higher index to a lower one.
+	scc, sccOff, sccTo []int32
 
 	pool sync.Pool // *scratch; see scratch.go
 }
@@ -182,26 +195,9 @@ func NewContext(ctx context.Context, g *grammar.Grammar) (*Engine, error) {
 		}
 	}
 
-	// Start graph: canonical order = (label, attachment) ascending,
-	// matching grammar.Derive.
+	// Start graph: the canonical order grammar.Derive numbers by.
 	s := g.Start
-	for id := range s.EdgesSeq() {
-		if !g.IsTerminal(s.Label(id)) {
-			e.topEdges = append(e.topEdges, id)
-		}
-	}
-	sort.Slice(e.topEdges, func(i, j int) bool {
-		if la, lb := s.Label(e.topEdges[i]), s.Label(e.topEdges[j]); la != lb {
-			return la < lb
-		}
-		a, b := s.Att(e.topEdges[i]), s.Att(e.topEdges[j])
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return len(a) < len(b)
-	})
+	e.topEdges = g.SortedNTEdges(s)
 	base := e.m
 	for _, id := range e.topEdges {
 		e.topBase = append(e.topBase, base)
@@ -241,6 +237,9 @@ func NewContext(ctx context.Context, g *grammar.Grammar) (*Engine, error) {
 		return nil, err
 	}
 	if e.hist, err = e.labelHistogram(&tk); err != nil {
+		return nil, err
+	}
+	if err := e.condense(&tk, op); err != nil {
 		return nil, err
 	}
 	return e, nil

@@ -56,6 +56,13 @@ func FuzzQuery(f *testing.F) {
 		}
 		f.Add(buf)
 	}
+	for _, g := range []*grammar.Grammar{reenterGrammar(), chainedSCCGrammar()} {
+		buf, _, err := encoding.Encode(g)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 		defer cancel()

@@ -89,11 +89,13 @@ type product struct {
 
 // block is one right-hand side laid out in a product: its graph, its
 // first ID, and the nonterminal edges of h expanded as child blocks,
-// which therefore contribute no skeleton arcs.
+// which therefore contribute no skeleton arcs. A bare block lays out
+// its IDs but none of its edges.
 type block struct {
 	h    *hypergraph.Graph
 	base int32
 	skip [2]hypergraph.EdgeID
+	bare bool
 }
 
 // arc is an edge of a product, chained from head: a terminal edge
@@ -144,7 +146,7 @@ func (g *product) id(b int, x hypergraph.NodeID) int32 {
 // build chains the arcs of every block's edges in product with a:
 // terminal edges step the automaton, nonterminal edges that are not
 // child blocks contribute the finite off-diagonal entries of their
-// skeletons (skel, rule-indexed).
+// skeletons (skel, rule-indexed). Bare blocks contribute nothing.
 func (g *product) build(e *Engine, a *automaton, skel [][]int64) error {
 	n := int64(len(g.rep)) * int64(a.states)
 	if n > math.MaxInt32 {
@@ -155,6 +157,9 @@ func (g *product) build(e *Engine, a *automaton, skel [][]int64) error {
 	g.head = buf.GrowFill(g.head, int(n), -1)
 	g.arcs = g.arcs[:0]
 	for _, b := range g.blocks {
+		if b.bare {
+			continue
+		}
 		for id := range b.h.EdgesSeq() {
 			if id == b.skip[0] || id == b.skip[1] {
 				continue
@@ -333,9 +338,11 @@ func (e *Engine) skeletons(tk *ticker, op string, a *automaton) ([][]int64, erro
 // scratch, in product with a: the start graph and the right-hand sides
 // along both G-representations, sharing the blocks of their common
 // prefix, with every other nonterminal edge replaced by its skeleton
-// arcs from skel. It returns u's product node in a's start state and
-// v's ID.
-func (e *Engine) expand(s *scratch, a *automaton, skel [][]int64, u, v int64) (src, dst int32, err error) {
+// arcs from skel. With withStart false the start graph's block is
+// bare, so only the right-hand sides along the two paths contribute
+// arcs (Reachable adds S′-closure arcs in place of the start graph's).
+// It returns u's product node in a's start state and v's ID.
+func (e *Engine) expand(s *scratch, a *automaton, skel [][]int64, u, v int64, withStart bool) (src, dst int32, err error) {
 	l1, l2 := &s.loc1, &s.loc2
 	if err := e.locateInto(l1, u); err != nil {
 		return 0, 0, err
@@ -345,6 +352,7 @@ func (e *Engine) expand(s *scratch, a *automaton, skel [][]int64, u, v int64) (s
 	}
 	g := &s.pg
 	b1 := g.addBlock(e.g.Start, -1, hypergraph.NoEdge)
+	g.blocks[b1].bare = !withStart
 	b2 := b1
 	for n, id := range l1.Path {
 		b1 = g.addBlock(l1.Graphs[n+1], b1, id)

@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -322,6 +323,41 @@ func doublingGrammar(k int) *grammar.Grammar {
 	}
 	start.AddEdge(prev, 1, 2)
 	return g
+}
+
+// TestAggregatesSaturate pins the degree and label folds at the top of
+// int64: A_1 is two parallel terminal edges 1→2 and A_i two parallel
+// A_{i-1}(1, 2) edges, so the start graph A_64(1, 2) derives 2 nodes
+// joined by 2^64 edges, and every count saturates at MaxInt64 like
+// NumEdges instead of wrapping.
+func TestAggregatesSaturate(t *testing.T) {
+	start := hypergraph.New(2)
+	g := grammar.New(1, start)
+	prev := hypergraph.Label(1)
+	for range 64 {
+		rhs := hypergraph.New(2)
+		rhs.AddEdge(prev, 1, 2)
+		rhs.AddEdge(prev, 1, 2)
+		rhs.SetExt(1, 2)
+		prev = g.AddRule(rhs)
+	}
+	start.AddEdge(prev, 1, 2)
+	e, err := New(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sat = math.MaxInt64
+	if e.NumNodes() != 2 || e.NumEdges() != sat {
+		t.Fatalf("NumNodes, NumEdges = %d, %d; want 2, MaxInt64", e.NumNodes(), e.NumEdges())
+	}
+	for dir, want := range map[Direction][2]int64{Out: {0, sat}, In: {0, sat}, Both: {sat, sat}} {
+		if mn, mx, err := e.DegreeStats(dir); err != nil || mn != want[0] || mx != want[1] {
+			t.Errorf("DegreeStats(%d) = %d, %d, %v; want %d, %d", dir, mn, mx, err, want[0], want[1])
+		}
+	}
+	if h := e.LabelHistogram(); len(h) != 1 || h[1] != sat {
+		t.Errorf("LabelHistogram = %v, want {1: MaxInt64}", h)
+	}
 }
 
 func TestEngineRejectsDerivedSizeOverflow(t *testing.T) {

@@ -131,7 +131,7 @@ func (r *RPQ) MatchesContext(ctx context.Context, u, v int64) (bool, error) {
 	e := r.e
 	s := e.getScratch()
 	defer e.putScratch(s)
-	src, dst, err := e.expand(s, &r.aut, r.skel, u, v)
+	src, dst, err := e.expand(s, &r.aut, r.skel, u, v, true)
 	if err != nil {
 		return false, err
 	}

@@ -1,18 +1,23 @@
 package query
 
 // scratch is all the per-call mutable state of the query phase: the
-// two G-representations, the neighbor accumulation buffer, and the
-// int-ID product graph a Reachable, Distance or Matches call lays out
-// and searches (product.go). The compiled Engine itself is immutable,
-// so one scratch per in-flight query is the only mutable memory a
-// query touches; scratches are recycled through Engine.pool, and
-// every buffer keeps its capacity between queries, so the steady
-// state of a long-lived server allocates nothing but results
-// (TestQueryAllocs and TestNeighborsAllocationBudget pin this).
+// two G-representations, the neighbor accumulation buffer, the int-ID
+// product graph a Reachable, Distance or Matches call lays out and
+// searches (product.go), and the stamps and stack of Reachable's DFS
+// over the condensation of S′ (analysis.go). The compiled Engine
+// itself is immutable, so one scratch per in-flight query is the only
+// mutable memory a query touches; scratches are recycled through
+// Engine.pool, and every buffer keeps its capacity between queries,
+// so the steady state of a long-lived server allocates nothing but
+// results (TestQueryAllocs and TestNeighborsAllocationBudget pin
+// this).
 type scratch struct {
 	loc1, loc2 Location
 	out        []int64
 	pg         product
+	seen       []uint32 // per SCC: stamp of the last DFS that visited it
+	stamp      uint32
+	stack      []int32
 }
 
 // getScratch takes a scratch from the pool (or makes one). Callers
