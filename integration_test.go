@@ -116,7 +116,7 @@ func TestFullPipelineOnCatalog(t *testing.T) {
 
 func labelHistogram(g *hypergraph.Graph) map[hypergraph.Label]int64 {
 	h := map[hypergraph.Label]int64{}
-	for _, id := range g.Edges() {
+	for id := range g.EdgesSeq() {
 		h[g.Label(id)]++
 	}
 	return h

@@ -50,7 +50,7 @@ type Transformed struct {
 func Transform(g *hypergraph.Graph, p Params) (*Transformed, error) {
 	n := int(g.MaxNodeID())
 	adj := make(map[hypergraph.NodeID][]hypergraph.NodeID, n)
-	for _, id := range g.Edges() {
+	for id := range g.EdgesSeq() {
 		att := g.Att(id)
 		if len(att) != 2 {
 			return nil, fmt.Errorf("hn: edge %d has rank %d; only simple graphs supported", id, len(att))
@@ -276,7 +276,7 @@ func Expand(t *Transformed) *hypergraph.Graph {
 		return res
 	}
 	seen := map[[2]hypergraph.NodeID]bool{}
-	for _, id := range g.Edges() {
+	for id := range g.EdgesSeq() {
 		att := g.Att(id)
 		src := att[0]
 		if int(src) > t.Original {

@@ -25,7 +25,7 @@ type Compressed struct {
 // Compress builds the per-label k²-trees for a simple graph.
 func Compress(g *hypergraph.Graph) (*Compressed, error) {
 	pts := map[hypergraph.Label][]k2tree.Point{}
-	for _, id := range g.Edges() {
+	for id := range g.EdgesSeq() {
 		att := g.Att(id)
 		if len(att) != 2 {
 			return nil, fmt.Errorf("k2: edge %d has rank %d; only simple graphs supported", id, len(att))

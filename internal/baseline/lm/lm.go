@@ -47,7 +47,7 @@ func Compress(g *hypergraph.Graph, chunkSize int) (*Compressed, error) {
 	}
 	n := int(g.MaxNodeID())
 	adj := make([][]hypergraph.NodeID, n+1)
-	for _, id := range g.Edges() {
+	for id := range g.EdgesSeq() {
 		att := g.Att(id)
 		if len(att) != 2 {
 			return nil, fmt.Errorf("lm: edge %d has rank %d; only simple graphs supported", id, len(att))

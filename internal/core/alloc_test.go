@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"runtime"
+	"slices"
 	"testing"
 
 	"graphrepair/internal/gen"
@@ -25,7 +26,7 @@ func warmCompressor(t *testing.T, g *hypergraph.Graph, terminals hypergraph.Labe
 // adjacentPairAt returns the first two edges incident with u.
 func adjacentPairAt(t *testing.T, c *compressor, u hypergraph.NodeID) (hypergraph.EdgeID, hypergraph.EdgeID) {
 	t.Helper()
-	inc := c.g.Incident(u)
+	inc := c.g.AppendIncident(nil, u)
 	if len(inc) < 2 {
 		t.Fatalf("node %d has %d incident edges, want >= 2", u, len(inc))
 	}
@@ -138,7 +139,7 @@ func TestRuleBuilderAllocs(t *testing.T) {
 // sit at their per-stage high-water marks.
 func TestAvailGroupArenaSteadyStateAllocs(t *testing.T) {
 	c := warmCompressor(t, chainGraph(64), 2)
-	ids := c.g.Edges()
+	ids := slices.Collect(c.g.EdgesSeq())
 	keys := []effLabel{
 		makeEffLabel(3, 1), makeEffLabel(1, 0), makeEffLabel(2, 1), makeEffLabel(1, 1),
 	}

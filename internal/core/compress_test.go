@@ -138,7 +138,7 @@ func TestDisjointCopiesVirtualEdges(t *testing.T) {
 	}
 	// No virtual edge may survive anywhere in the grammar.
 	check := func(h *hypergraph.Graph) {
-		for _, id := range h.Edges() {
+		for id := range h.EdgesSeq() {
 			if h.Label(id) == virtualLabel {
 				t.Fatal("virtual edge leaked into grammar")
 			}

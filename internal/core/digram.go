@@ -251,7 +251,7 @@ func canonicalizeInto(g *hypergraph.Graph, e1, e2 hypergraph.EdgeID, co, tmp *ca
 	// Labels tie. The key compares edge ranks right after the labels,
 	// so when the ranks differ the orientation putting the
 	// smaller-rank edge first wins without materializing the other.
-	r1, r2 := g.Edge(e1).Rank(), g.Edge(e2).Rank()
+	r1, r2 := len(g.Att(e1)), len(g.Att(e2))
 	if r1 < r2 {
 		buildOrientedInto(g, e1, e2, co)
 		return co
@@ -306,7 +306,7 @@ type ruleGraphBuilder struct {
 
 // build materializes the rule graph for canonical occurrence c of g.
 func (b *ruleGraphBuilder) build(g *hypergraph.Graph, c *canonOcc) *hypergraph.Graph {
-	ra, rb := g.Edge(c.a).Rank(), g.Edge(c.b).Rank()
+	ra, rb := len(g.Att(c.a)), len(g.Att(c.b))
 	rhs := hypergraph.NewReserved(len(c.locals), 2, ra+rb, len(c.extLoc))
 	for _, e := range [2]hypergraph.EdgeID{c.a, c.b} {
 		mapped := b.mapped[:0]

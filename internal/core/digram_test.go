@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -27,7 +28,7 @@ func randomAdjacentPair(rng *rand.Rand) (*hypergraph.Graph, hypergraph.EdgeID, h
 			g.AddEdge(hypergraph.Label(1+rng.Intn(3)), u, v)
 		}
 	}
-	edges := g.Edges()
+	edges := slices.Collect(g.EdgesSeq())
 	for try := 0; try < 50; try++ {
 		if len(edges) < 2 {
 			return nil, 0, 0, false

@@ -230,7 +230,7 @@ func effLabel(label hypergraph.Label, pos int) uint64 {
 func (c *compressor) groupIncident(v hypergraph.NodeID) []*availGroup {
 	byLabel := map[uint64]*availGroup{}
 	var keys []uint64
-	for _, id := range c.g.Incident(v) {
+	for _, id := range c.g.AppendIncident(nil, v) {
 		l := effLabel(c.g.Label(id), c.g.AttPos(id, v))
 		g, ok := byLabel[l]
 		if !ok {

@@ -132,7 +132,7 @@ func Normalize(g *grammar.Grammar) {
 			}
 		}
 		fresh := hypergraph.New(rhs.NumNodes())
-		for _, id := range rhs.Edges() {
+		for id := range rhs.EdgesSeq() {
 			src := rhs.Att(id)
 			att := make([]hypergraph.NodeID, len(src))
 			for i, v := range src {
@@ -156,7 +156,7 @@ func encodeRule(w *bitio.Writer, g *grammar.Grammar, rhs *hypergraph.Graph) {
 	w.WriteDelta(uint64(rhs.NumNodes()))
 	w.WriteDelta(uint64(rhs.Rank()))
 	w.WriteDelta0(uint64(rhs.NumEdges()))
-	for _, id := range rhs.Edges() {
+	for id := range rhs.EdgesSeq() {
 		lab := rhs.Label(id)
 		att := rhs.Att(id)
 		terminal := g.IsTerminal(lab)
@@ -190,7 +190,7 @@ func encodeStart(w *bitio.Writer, g *grammar.Grammar) error {
 
 		// Collect this label's edges in ascending edge-ID order.
 		var edges []hypergraph.EdgeID
-		for _, id := range s.Edges() {
+		for id := range s.EdgesSeq() {
 			if s.Label(id) == lab {
 				edges = append(edges, id)
 			}

@@ -38,7 +38,7 @@ func TestAllDatasetsGenerateAtTestScale(t *testing.T) {
 		// duplicate (label, src, dst) — required by the compressor
 		// and the adjacency-matrix encoders.
 		seen := map[hypergraph.Triple]bool{}
-		for _, id := range g.Edges() {
+		for id := range g.EdgesSeq() {
 			att, lab := g.Att(id), g.Label(id)
 			if len(att) != 2 {
 				t.Fatalf("%s: edge rank %d", name, len(att))
@@ -134,10 +134,10 @@ func TestRDFTypesIsStarShaped(t *testing.T) {
 func TestCoauthorshipSymmetricAndClustered(t *testing.T) {
 	g := Coauthorship(500, 4000, 5, 9)
 	// Both directions of each collaboration must exist.
-	for _, id := range g.Edges() {
+	for id := range g.EdgesSeq() {
 		att := g.Att(id)
 		found := false
-		for _, id2 := range g.Incident(att[1]) {
+		for id2 := range g.IncidentSeqRO(att[1]) {
 			att2 := g.Att(id2)
 			if att2[0] == att[1] && att2[1] == att[0] {
 				found = true

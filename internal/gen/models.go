@@ -13,7 +13,6 @@ package gen
 
 import (
 	"math/rand"
-	"sort"
 
 	"graphrepair/internal/hypergraph"
 )
@@ -307,7 +306,7 @@ func DisjointUnion(graphs ...*hypergraph.Graph) *hypergraph.Graph {
 	out := hypergraph.New(total)
 	off := hypergraph.NodeID(0)
 	for _, g := range graphs {
-		for _, id := range g.Edges() {
+		for id := range g.EdgesSeq() {
 			src := g.Att(id)
 			att := make([]hypergraph.NodeID, len(src))
 			for i, v := range src {
@@ -320,12 +319,12 @@ func DisjointUnion(graphs ...*hypergraph.Graph) *hypergraph.Graph {
 	return out
 }
 
-// relabelSorted returns the labels of g as a sorted slice length.
+// maxLabel returns the largest edge label of g, or 1 if g has no
+// edges. Labels is already sorted ascending.
 func maxLabel(g *hypergraph.Graph) hypergraph.Label {
 	labs := g.Labels()
 	if len(labs) == 0 {
 		return 1
 	}
-	sort.Slice(labs, func(i, j int) bool { return labs[i] < labs[j] })
 	return labs[len(labs)-1]
 }

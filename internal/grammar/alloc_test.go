@@ -2,6 +2,7 @@ package grammar
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"graphrepair/internal/hypergraph"
@@ -106,11 +107,11 @@ func TestInlineScratchReuse(t *testing.T) {
 	// Warm the scratch with one inline on a throwaway grammar so the
 	// measured pass starts at the arena's high-water mark.
 	warm := contributingGrammar()
-	warm.Inline(warm.Start, warm.Start.Edges()[0])
+	warm.Inline(warm.Start, slices.Collect(warm.Start.EdgesSeq())[0])
 
 	g := contributingGrammar()
 	g.scratch = warm.scratch // transplant the warm arena
-	ids := g.Start.Edges()
+	ids := slices.Collect(g.Start.EdgesSeq())
 
 	var m0, m1 runtime.MemStats
 	runtime.GC()

@@ -10,49 +10,38 @@ import (
 	"graphrepair/internal/hypergraph"
 )
 
-// DerivedNodeCounts returns, for every nonterminal A, the number of
-// nodes an A-edge derives: the internal nodes of rhs(A) plus,
-// recursively, the nodes derived by the nonterminal edges of rhs(A).
-// This is the basis of the deterministic node numbering of val(G) and
-// of the node-locator used by queries.
+// derivedCounts returns, for every nonterminal A, the number of nodes
+// and of terminal edges an A-edge derives: the internal nodes of
+// rhs(A), or its terminal edges, plus, recursively, those derived by
+// the nonterminal edges of rhs(A). The node counts are the basis of
+// the deterministic node numbering of val(G). The grammar must be
+// valid.
 //
 // Counts saturate at MaxInt64: SL-HR grammars are exponentially
 // succinct, so a grammar a few hundred bytes long can derive 2^100
 // nodes, and wrapping arithmetic would let such a bomb masquerade as
 // a small graph (the analytic limit checks depend on these counts).
-func (g *Grammar) DerivedNodeCounts() map[hypergraph.Label]int64 {
-	counts := make(map[hypergraph.Label]int64, len(g.rules))
-	for _, l := range g.BottomUpOrder() {
-		r := g.Rule(l)
-		n := int64(r.NumNodes() - r.Rank())
-		for id := range r.EdgesSeq() {
-			if lab := r.Label(id); !g.IsTerminal(lab) {
-				n = govern.SatAdd(n, counts[lab])
-			}
-		}
-		counts[l] = n
+func (g *Grammar) derivedCounts() (nodes, edges map[hypergraph.Label]int64) {
+	order, err := g.bottomUpOrder()
+	if err != nil {
+		panic(err)
 	}
-	return counts
-}
-
-// DerivedEdgeCounts returns, for every nonterminal A, the number of
-// terminal edges val(A) contains, saturating at MaxInt64 like
-// DerivedNodeCounts.
-func (g *Grammar) DerivedEdgeCounts() map[hypergraph.Label]int64 {
-	counts := make(map[hypergraph.Label]int64, len(g.rules))
-	for _, l := range g.BottomUpOrder() {
+	nodes = make(map[hypergraph.Label]int64, len(order))
+	edges = make(map[hypergraph.Label]int64, len(order))
+	for _, l := range order {
 		r := g.Rule(l)
-		var n int64
+		n, m := int64(r.NumNodes()-r.Rank()), int64(0)
 		for id := range r.EdgesSeq() {
 			if lab := r.Label(id); g.IsTerminal(lab) {
-				n = govern.SatAdd(n, 1)
+				m = govern.SatAdd(m, 1)
 			} else {
-				n = govern.SatAdd(n, counts[lab])
+				n = govern.SatAdd(n, nodes[lab])
+				m = govern.SatAdd(m, edges[lab])
 			}
 		}
-		counts[l] = n
+		nodes[l], edges[l] = n, m
 	}
-	return counts
+	return nodes, edges
 }
 
 // DerivedSize returns (|val(G)|V, number of terminal edges of val(G))
@@ -61,7 +50,7 @@ func (g *Grammar) DerivedEdgeCounts() map[hypergraph.Label]int64 {
 // derivation limit: a decompression bomb is rejected from rule sizes
 // alone, before a single node is allocated.
 func (g *Grammar) DerivedSize() (nodes, edges int64) {
-	nc, ec := g.DerivedNodeCounts(), g.DerivedEdgeCounts()
+	nc, ec := g.derivedCounts()
 	nodes = int64(g.Start.NumNodes())
 	for id := range g.Start.EdgesSeq() {
 		if lab := g.Start.Label(id); g.IsTerminal(lab) {
@@ -230,10 +219,10 @@ func (g *Grammar) DeriveContext(ctx context.Context, lim govern.Limits) (*hyperg
 // scratch arena, so the only steady-state allocations are the ones
 // h.AddNode/AddEdge make to grow the host graph itself.
 func (g *Grammar) Inline(h *hypergraph.Graph, id hypergraph.EdgeID) []hypergraph.EdgeID {
-	e := h.Edge(id)
-	rhs := g.Rule(e.Label)
+	lab := h.Label(id)
+	rhs := g.Rule(lab)
 	if rhs == nil {
-		panic(fmt.Sprintf("grammar: Inline: label %d has no rule", e.Label))
+		panic(fmt.Sprintf("grammar: Inline: label %d has no rule", lab))
 	}
 	s := g.scr()
 	s.att = append(s.att[:0], h.Att(id)...)
@@ -247,7 +236,7 @@ func (g *Grammar) Inline(h *hypergraph.Graph, id hypergraph.EdgeID) []hypergraph
 	}
 	attLen := 0
 	for rid := range rhs.EdgesSeq() {
-		attLen += rhs.Edge(rid).Rank()
+		attLen += len(rhs.Att(rid))
 	}
 	h.Reserve(rhs.NumEdges(), attLen)
 	// m maps rule nodes to host nodes; flat, indexed by rule NodeID.

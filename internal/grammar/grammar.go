@@ -145,44 +145,50 @@ func (g *Grammar) NodeSize() int {
 // nonterminal edges match their rules, every edge label is known,
 // attachment lengths match label ranks, and ≤NT is acyclic.
 func (g *Grammar) Validate() error {
+	_, err := g.BottomUpOrder()
+	return err
+}
+
+// BottomUpOrder validates g like Validate and returns its nonterminals
+// in bottom-up ≤NT order (every nonterminal after all nonterminals its
+// right-hand side references), so a caller that needs both computes
+// the order once.
+func (g *Grammar) BottomUpOrder() ([]hypergraph.Label, error) {
 	check := func(h *hypergraph.Graph, what string) error {
 		for id := range h.EdgesSeq() {
-			e := h.Edge(id)
-			if e.Label == 0 {
+			lab, rank := h.Label(id), len(h.Att(id))
+			if lab == 0 {
 				return fmt.Errorf("grammar: %s: edge %d has reserved label 0", what, id)
 			}
 			want := 0
-			if g.IsTerminal(e.Label) {
+			if g.IsTerminal(lab) {
 				want = 2
 			} else {
-				r := g.Rule(e.Label)
+				r := g.Rule(lab)
 				if r == nil {
-					return fmt.Errorf("grammar: %s: edge %d has unknown label %d", what, id, e.Label)
+					return fmt.Errorf("grammar: %s: edge %d has unknown label %d", what, id, lab)
 				}
 				want = r.Rank()
 			}
-			if e.Rank() != want {
+			if rank != want {
 				return fmt.Errorf("grammar: %s: edge %d labeled %d has rank %d, want %d",
-					what, id, e.Label, e.Rank(), want)
+					what, id, lab, rank, want)
 			}
 		}
 		return nil
 	}
 	if err := check(g.Start, "start"); err != nil {
-		return err
+		return nil, err
 	}
 	for i, r := range g.rules {
 		if r == nil {
-			return fmt.Errorf("grammar: nonterminal %d has no rule", int(g.Terminals)+1+i)
+			return nil, fmt.Errorf("grammar: nonterminal %d has no rule", int(g.Terminals)+1+i)
 		}
 		if err := check(r, fmt.Sprintf("rule %d", int(g.Terminals)+1+i)); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	if _, err := g.bottomUpOrder(); err != nil {
-		return err
-	}
-	return nil
+	return g.bottomUpOrder()
 }
 
 // bottomUpOrder returns the nonterminals in a bottom-up ≤NT order
@@ -226,16 +232,6 @@ func (g *Grammar) bottomUpOrder() ([]hypergraph.Label, error) {
 		}
 	}
 	return out, nil
-}
-
-// BottomUpOrder returns the nonterminals in bottom-up ≤NT order. The
-// grammar must be valid.
-func (g *Grammar) BottomUpOrder() []hypergraph.Label {
-	order, err := g.bottomUpOrder()
-	if err != nil {
-		panic(err)
-	}
-	return order
 }
 
 // Height returns height(G), the height of the ≤NT relation: 0 if the

@@ -40,7 +40,7 @@ func TestFigure1Derivation(t *testing.T) {
 		t.Fatalf("val(G): %d nodes %d edges, want 7/6", got.NumNodes(), got.NumEdges())
 	}
 	na, nb := 0, 0
-	for _, id := range got.Edges() {
+	for id := range got.EdgesSeq() {
 		switch got.Label(id) {
 		case 1:
 			na++
@@ -142,7 +142,7 @@ func TestInlinePreservesDerivation(t *testing.T) {
 	want := mustDerive(t, g)
 	// Inline the middle A-edge of the start graph.
 	var target hypergraph.EdgeID = -1
-	for _, id := range g.Start.Edges() {
+	for id := range g.Start.EdgesSeq() {
 		if !g.IsTerminal(g.Start.Label(id)) {
 			target = id
 		}

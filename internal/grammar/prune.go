@@ -229,7 +229,7 @@ func (g *Grammar) inlineRuleIn(h *hypergraph.Graph, host int32, l hypergraph.Lab
 		}
 		attLen := 0
 		for rid := range rhs.EdgesSeq() {
-			attLen += rhs.Edge(rid).Rank()
+			attLen += len(rhs.Att(rid))
 		}
 		h.Reserve(n*rhs.NumEdges(), n*attLen)
 	}
@@ -251,12 +251,12 @@ func (g *Grammar) inlineRuleIn(h *hypergraph.Graph, host int32, l hypergraph.Lab
 }
 
 // bottomUpInto fills s.order with the live nonterminals in bottom-up
-// ≤NT order: the same depth-first traversal as BottomUpOrder (rules
+// ≤NT order: the same depth-first traversal as bottomUpOrder (rules
 // visited in ascending label order, right-hand-side edges in
 // ascending ID order, rules removed by this Prune still traversed),
 // filtered to live rules — but run with an explicit stack and per-rule
 // edge cursors in the scratch arena, so it allocates nothing once the
-// buffers are warm. Panics on a cyclic ≤NT, like BottomUpOrder.
+// buffers are warm. Panics on a cyclic ≤NT.
 func (g *Grammar) bottomUpInto(s *gramScratch) {
 	const (
 		unvisited = 0
@@ -335,21 +335,19 @@ func (g *Grammar) compactLabels() {
 		s.remap[i] = g.Terminals + 1 + hypergraph.Label(len(kept))
 		kept = append(kept, r)
 	}
-	rewrite := func(h *hypergraph.Graph) {
-		for id := range h.EdgesSeq() {
-			e := h.Edge(id)
-			if !g.IsTerminal(e.Label) {
-				nl := s.remap[g.ruleIndex(e.Label)]
-				if nl == 0 {
-					panic("grammar: compactLabels: dangling removed nonterminal")
-				}
-				e.Label = nl
-			}
+	relabel := func(l hypergraph.Label) hypergraph.Label {
+		if g.IsTerminal(l) {
+			return l
 		}
+		nl := s.remap[g.ruleIndex(l)]
+		if nl == 0 {
+			panic("grammar: compactLabels: dangling removed nonterminal")
+		}
+		return nl
 	}
-	rewrite(g.Start)
+	g.Start.Relabel(relabel)
 	for _, r := range kept {
-		rewrite(r)
+		r.Relabel(relabel)
 	}
 	// Drop the tail so removed rule graphs become collectable.
 	tail := g.rules[len(kept):]

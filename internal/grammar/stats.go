@@ -23,8 +23,7 @@ type RuleStats struct {
 // found.
 func (g *Grammar) Stats() []RuleStats {
 	refs := g.RefCounts()
-	nodeCounts := g.DerivedNodeCounts()
-	edgeCounts := g.DerivedEdgeCounts()
+	nodeCounts, edgeCounts := g.derivedCounts()
 	out := make([]RuleStats, 0, g.NumRules())
 	for _, nt := range g.Nonterminals() {
 		rhs := g.Rule(nt)

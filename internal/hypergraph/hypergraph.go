@@ -37,19 +37,16 @@ const NoEdge EdgeID = -1
 // above T. Label 0 is reserved (used internally for virtual edges).
 type Label int32
 
-// Edge is a labeled hyperedge. Its attachment sequence lives in the
+// edge is a labeled hyperedge. Its attachment sequence lives in the
 // owning graph's attachment arena as an (offset, rank) view — read it
 // with Graph.Att — so adding an edge never allocates a per-edge slice
 // (DESIGN.md §8). The paper's restriction (1) applies: an attachment
 // contains no node twice.
-type Edge struct {
-	Label Label
+type edge struct {
+	label Label
 	off   int32 // offset of the attachment in the graph's arena
 	rank  int32 // number of attached nodes
 }
-
-// Rank returns the number of attached nodes.
-func (e *Edge) Rank() int { return int(e.rank) }
 
 // incSlot is one link of a node's incidence chain in the graph's
 // shared incidence arena. Links are stored 1-based (0 means "none") so
@@ -71,9 +68,17 @@ type incList struct {
 // Graph is a mutable hypergraph. Nodes and edges are removed by
 // tombstoning; incidence chains drop dead entries lazily (traversals
 // unlink them in place, see IncidentSeq).
+//
+// Edge reads have one contract. An EdgeID is valid only as AddEdge,
+// EdgesSeq, IncidentSeq, IncidentSeqRO or AppendIncident handed it
+// out; Label, Att and AttPos index the edge arenas directly and check
+// nothing, so they inline. Reading a removed edge is a caller bug: it
+// returns the edge's last label and attachment. An ID that was never
+// allocated panics on the slice bound. Liveness is checked only by the
+// mutators and by HasEdge (DESIGN.md §8).
 type Graph struct {
-	edges     []Edge
-	att       []NodeID // attachment arena, indexed by Edge.off/rank
+	edges     []edge
+	att       []NodeID // attachment arena, indexed by edge.off/rank
 	edgeAlive []bool
 	numEdges  int // alive edges
 
@@ -121,7 +126,7 @@ func NewReserved(n, edges, attLen, ext int) *Graph {
 		numNodes:  n,
 		inc:       make([]incList, n+1),
 		extIndex:  make([]int32, n+1),
-		edges:     make([]Edge, 0, edges),
+		edges:     make([]edge, 0, edges),
 		att:       nodeIDs[:0:attLen],
 		ext:       nodeIDs[attLen : attLen : attLen+ext],
 		incPool:   make([]incSlot, 0, attLen),
@@ -204,7 +209,7 @@ func (g *Graph) AddEdge(label Label, att ...NodeID) EdgeID {
 	id := EdgeID(len(g.edges))
 	off := int32(len(g.att))
 	g.att = append(g.att, att...)
-	g.edges = append(g.edges, Edge{Label: label, off: off, rank: int32(len(att))})
+	g.edges = append(g.edges, edge{label: label, off: off, rank: int32(len(att))})
 	g.edgeAlive = append(g.edgeAlive, true)
 	g.numEdges++
 	for _, v := range att {
@@ -234,30 +239,19 @@ func (g *Graph) Reserve(edges, attLen int) {
 	g.incPool = slices.Grow(g.incPool, attLen)
 }
 
-// Edge returns the edge with the given ID. The result aliases graph
-// storage and must not be mutated. Panics if the edge is dead.
-func (g *Graph) Edge(id EdgeID) *Edge {
-	if !g.HasEdge(id) {
-		panic(fmt.Sprintf("hypergraph: edge %d not alive", id))
-	}
-	return &g.edges[id]
-}
+// Label returns the label of edge id (see Graph for the read
+// contract).
+func (g *Graph) Label(id EdgeID) Label { return g.edges[id].label }
 
-// Label returns the label of edge id.
-func (g *Graph) Label(id EdgeID) Label { return g.Edge(id).Label }
-
-// attOf returns the attachment view of e in g's arena (alive or dead).
-// The capacity is clipped so appends by callers cannot clobber the
-// arena.
-func (g *Graph) attOf(e *Edge) []NodeID {
+// Att returns the attachment sequence of edge id (see Graph for the
+// read contract). The result is a view into the graph's attachment
+// arena: it stays valid and correct for the life of the graph
+// (attachments are immutable once added) but must not be mutated. Its
+// capacity is clipped, so appends by callers cannot clobber the arena.
+func (g *Graph) Att(id EdgeID) []NodeID {
+	e := &g.edges[id]
 	return g.att[e.off : e.off+e.rank : e.off+e.rank]
 }
-
-// Att returns the attachment sequence of edge id. The result is a view
-// into the graph's attachment arena: it stays valid and correct for
-// the life of the graph (attachments are immutable once added) but
-// must not be mutated.
-func (g *Graph) Att(id EdgeID) []NodeID { return g.attOf(g.Edge(id)) }
 
 // RemoveEdge tombstones an edge. Incidence-chain entries are unlinked
 // lazily by the next traversal of each attached node's chain.
@@ -267,7 +261,7 @@ func (g *Graph) RemoveEdge(id EdgeID) {
 	}
 	g.edgeAlive[id] = false
 	g.numEdges--
-	for _, v := range g.attOf(&g.edges[id]) {
+	for _, v := range g.Att(id) {
 		if g.HasNode(v) {
 			g.inc[v].deg--
 		}
@@ -293,18 +287,9 @@ func (g *Graph) RemoveNode(v NodeID) {
 	g.numNodes--
 }
 
-// Incident returns the alive edges incident with v in insertion order.
-// The slice is freshly allocated on every call: it exists for tests
-// and for callers that need a mutation-stable snapshot. Code on any
-// hot path should iterate with IncidentSeq (which copies nothing) or
-// snapshot into a reused buffer with AppendIncident.
-func (g *Graph) Incident(v NodeID) []EdgeID {
-	return g.AppendIncident(make([]EdgeID, 0, g.inc[v].deg), v)
-}
-
 // AppendIncident appends the alive edges incident with v in insertion
-// order to dst and returns it — the allocation-free form of Incident
-// for callers that reuse a snapshot buffer across nodes.
+// order to dst and returns it: a mutation-stable snapshot, for callers
+// that change v's incidence while walking it.
 func (g *Graph) AppendIncident(dst []EdgeID, v NodeID) []EdgeID {
 	for id := range g.IncidentSeq(v) {
 		dst = append(dst, id)
@@ -316,7 +301,7 @@ func (g *Graph) AppendIncident(dst []EdgeID, v NodeID) []EdgeID {
 // order by walking v's incidence chain, unlinking tombstoned entries
 // in passing (so repeated traversals do not re-skip them). The loop
 // body must not mutate v's incidence (no edge additions touching v,
-// and no concurrent traversal of v's chain — including Incident,
+// and no concurrent traversal of v's chain — including
 // AppendIncident or AppendNeighbors on v); callers that need to
 // mutate while iterating should snapshot with AppendIncident first.
 // Removing the yielded edge itself, and adding or removing edges that
@@ -380,22 +365,21 @@ func (g *Graph) IncidentSeqRO(v NodeID) iter.Seq[EdgeID] {
 func (g *Graph) AppendNeighbors(dst []NodeID, v NodeID) []NodeID {
 	base := len(dst)
 	for id := range g.IncidentSeq(v) {
-		for _, u := range g.attOf(&g.edges[id]) {
+		for _, u := range g.Att(id) {
 			if u != v {
 				dst = append(dst, u)
 			}
 		}
 	}
+	return sortDedup(dst, base)
+}
+
+// sortDedup sorts dst[base:] ascending, drops repeats and returns
+// dst trimmed to the result.
+func sortDedup(dst []NodeID, base int) []NodeID {
 	tail := dst[base:]
 	slices.Sort(tail)
-	w := base
-	for i, u := range tail {
-		if i == 0 || u != dst[w-1] {
-			dst[w] = u
-			w++
-		}
-	}
-	return dst[:w]
+	return dst[:base+len(slices.Compact(tail))]
 }
 
 // Degree returns the number of alive edges incident with v in O(1).
@@ -403,7 +387,8 @@ func (g *Graph) Degree(v NodeID) int {
 	return int(g.inc[v].deg)
 }
 
-// AttPos returns the position (0-based) of v in att(e), or -1.
+// AttPos returns the position (0-based) of v in att(id), or -1 (see
+// Graph for the read contract).
 func (g *Graph) AttPos(id EdgeID, v NodeID) int {
 	for i, u := range g.Att(id) {
 		if u == v {
@@ -480,21 +465,6 @@ func (g *Graph) AppendNodes(dst []NodeID) []NodeID {
 	return dst
 }
 
-// Edges returns all alive edge IDs in ascending order. The slice is
-// freshly allocated on every call (O(|E|) garbage): it exists for
-// callers that need a mutation-stable snapshot, e.g. to remove edges
-// other than the one at hand while walking the list. New code on any
-// hot path should iterate with EdgesSeq instead, which copies nothing.
-func (g *Graph) Edges() []EdgeID {
-	out := make([]EdgeID, 0, g.numEdges)
-	for id := EdgeID(0); int(id) < len(g.edges); id++ {
-		if g.edgeAlive[id] {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // EdgesSeq iterates the alive edge IDs in ascending order without
 // allocating, mirroring IncidentSeq. The loop body may remove the
 // yielded edge and may add new edges (edges added during the iteration
@@ -557,7 +527,7 @@ func (g *Graph) CloneReserve(edges, extraAtt int) *Graph {
 	for id, e := range g.edges {
 		if g.edgeAlive[id] {
 			attLen += int(e.rank)
-			for _, v := range g.attOf(&g.edges[id]) {
+			for _, v := range g.Att(EdgeID(id)) {
 				c.inc[v].deg++
 			}
 		}
@@ -579,21 +549,20 @@ func (g *Graph) CloneReserve(edges, extraAtt int) *Graph {
 			pos += d
 		}
 	}
-	c.edges = make([]Edge, 0, g.numEdges+edges)
+	c.edges = make([]edge, 0, g.numEdges+edges)
 	c.att = make([]NodeID, 0, attLen+extraAtt)
 	c.edgeAlive = make([]bool, 0, g.numEdges+edges)
-	for id := range g.edges {
-		e := &g.edges[id]
+	for id, e := range g.edges {
 		if !g.edgeAlive[id] {
 			continue
 		}
 		nid := EdgeID(len(c.edges))
-		off := int32(len(c.att))
-		c.att = append(c.att, g.attOf(e)...)
-		c.edges = append(c.edges, Edge{Label: e.Label, off: off, rank: e.rank})
+		att := g.Att(EdgeID(id))
+		c.edges = append(c.edges, edge{label: e.label, off: int32(len(c.att)), rank: e.rank})
+		c.att = append(c.att, att...)
 		c.edgeAlive = append(c.edgeAlive, true)
 		c.numEdges++
-		for _, v := range g.attOf(e) {
+		for _, v := range att {
 			c.incPool[c.inc[v].tail-1].edge = nid
 			c.inc[v].tail++
 		}
@@ -644,7 +613,7 @@ func (g *Graph) Compact() []NodeID {
 		for k := int32(0); k < rank; k++ {
 			g.att[ao+k] = NodeID(g.extIndex[g.att[off+k]])
 		}
-		g.edges[wo] = Edge{Label: e.Label, off: ao, rank: rank}
+		g.edges[wo] = edge{label: e.label, off: ao, rank: rank}
 		wo++
 		ao += rank
 	}
@@ -678,7 +647,7 @@ func (g *Graph) Compact() []NodeID {
 	}
 	g.incPool = g.incPool[:ao]
 	for id := range g.edges {
-		for _, v := range g.attOf(&g.edges[id]) {
+		for _, v := range g.Att(EdgeID(id)) {
 			g.inc[v].deg++
 		}
 	}
@@ -695,7 +664,7 @@ func (g *Graph) Compact() []NodeID {
 		}
 	}
 	for id := range g.edges {
-		for _, v := range g.attOf(&g.edges[id]) {
+		for _, v := range g.Att(EdgeID(id)) {
 			g.incPool[g.inc[v].tail-1].edge = EdgeID(id)
 			g.inc[v].tail++
 		}
@@ -709,12 +678,14 @@ func (g *Graph) Compact() []NodeID {
 }
 
 // Relabel rewrites the label of every alive edge through f, in place.
-// Used by the sharded compressor to shift per-shard nonterminal labels
-// into their disjoint global ranges before merging (DESIGN.md §12).
+// It is the only label writer: the sharded compressor shifts per-shard
+// nonterminal labels into their disjoint global ranges with it before
+// merging (DESIGN.md §12), and grammar pruning renumbers the surviving
+// nonterminals densely.
 func (g *Graph) Relabel(f func(Label) Label) {
 	for id := range g.edges {
 		if g.edgeAlive[id] {
-			g.edges[id].Label = f(g.edges[id].Label)
+			g.edges[id].label = f(g.edges[id].label)
 		}
 	}
 }
@@ -724,7 +695,7 @@ func (g *Graph) Labels() []Label {
 	seen := map[Label]bool{}
 	for id, e := range g.edges {
 		if g.edgeAlive[id] {
-			seen[e.Label] = true
+			seen[e.label] = true
 		}
 	}
 	out := make([]Label, 0, len(seen))

@@ -2,6 +2,7 @@ package hypergraph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -30,9 +31,9 @@ func TestAddRemoveBasics(t *testing.T) {
 	if g.HasEdge(e2) {
 		t.Fatal("e2 should be dead")
 	}
-	inc := g.Incident(2)
+	inc := g.AppendIncident(nil, 2)
 	if len(inc) != 2 || inc[0] != e1 || inc[1] != e3 {
-		t.Fatalf("Incident(2) = %v", inc)
+		t.Fatalf("AppendIncident(nil, 2) = %v", inc)
 	}
 }
 
@@ -270,7 +271,7 @@ func TestIncidenceInvariantProperty(t *testing.T) {
 		}
 		// Brute-force incidence.
 		want := map[NodeID]map[EdgeID]bool{}
-		for _, id := range g.Edges() {
+		for id := range g.EdgesSeq() {
 			for _, v := range g.Att(id) {
 				if want[v] == nil {
 					want[v] = map[EdgeID]bool{}
@@ -279,7 +280,7 @@ func TestIncidenceInvariantProperty(t *testing.T) {
 			}
 		}
 		for v := NodeID(1); v <= NodeID(n); v++ {
-			inc := g.Incident(v)
+			inc := g.AppendIncident(nil, v)
 			if len(inc) != len(want[v]) {
 				return false
 			}
@@ -323,6 +324,48 @@ func TestAttArenaViews(t *testing.T) {
 	if got := g.Att(e2); got[0] != 3 {
 		t.Fatalf("append through a view clobbered the arena: Att(e2) = %v", got)
 	}
+}
+
+// TestEdgeReadContract pins the read contract of Graph: Label, Att and
+// AttPos check no liveness, so a removed edge still reads as its last
+// label and attachment, and an ID that was never allocated panics on
+// the slice bound; the mutators keep their liveness check; and Att's
+// view is capacity-clipped.
+func TestEdgeReadContract(t *testing.T) {
+	g := New(4)
+	g.AddEdge(1, 1, 2)
+	e := g.AddEdge(7, 2, 3, 4)
+	g.RemoveEdge(e)
+	if g.HasEdge(e) {
+		t.Fatal("removed edge still alive")
+	}
+	if got := g.Label(e); got != 7 {
+		t.Errorf("Label(removed) = %d, want its last label 7", got)
+	}
+	if got := g.Att(e); !slices.Equal(got, []NodeID{2, 3, 4}) {
+		t.Errorf("Att(removed) = %v, want its last attachment [2 3 4]", got)
+	}
+	if got := g.AttPos(e, 4); got != 2 {
+		t.Errorf("AttPos(removed, 4) = %d, want 2", got)
+	}
+	if a := g.Att(e); cap(a) != len(a) {
+		t.Errorf("Att view has cap %d > len %d", cap(a), len(a))
+	}
+
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	never := g.MaxEdgeID()
+	mustPanic("Label(MaxEdgeID)", func() { g.Label(never) })
+	mustPanic("Att(MaxEdgeID)", func() { g.Att(never) })
+	mustPanic("AttPos(MaxEdgeID)", func() { g.AttPos(never, 1) })
+	mustPanic("RemoveEdge(removed)", func() { g.RemoveEdge(e) })
 }
 
 // TestWarmAddEdgeAllocs proves AddEdge no longer allocates a per-edge
@@ -383,7 +426,7 @@ func TestCompactPreservesStructureProperty(t *testing.T) {
 			}
 		}
 		// Remove a few edges, then a few now-isolated nodes.
-		for _, id := range g.Edges() {
+		for id := range g.EdgesSeq() {
 			if rng.Intn(3) == 0 {
 				g.RemoveEdge(id)
 			}
@@ -454,24 +497,15 @@ func TestWeakComponentsPartitionProperty(t *testing.T) {
 
 func TestIncidentSeqMatchesIncident(t *testing.T) {
 	g := New(5)
-	g.AddEdge(1, 1, 2)
-	g.AddEdge(2, 2, 3)
+	e0 := g.AddEdge(1, 1, 2)
+	e1 := g.AddEdge(2, 2, 3)
 	e := g.AddEdge(1, 3, 2)
-	g.AddEdge(3, 2, 4)
+	e3 := g.AddEdge(3, 2, 4)
 	g.RemoveEdge(e) // leave a dead entry for the seq to skip
 
-	var got []EdgeID
-	for id := range g.IncidentSeq(2) {
-		got = append(got, id)
-	}
-	want := g.Incident(2)
-	if len(got) != len(want) {
-		t.Fatalf("IncidentSeq yielded %d edges, Incident has %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("IncidentSeq order differs at %d: %d vs %d", i, got[i], want[i])
-		}
+	got := slices.Collect(g.IncidentSeq(2))
+	if want := []EdgeID{e0, e1, e3}; !slices.Equal(got, want) {
+		t.Fatalf("IncidentSeq(2) = %v, want the alive edges in insertion order %v", got, want)
 	}
 	// Early termination must not panic or over-yield.
 	n := 0

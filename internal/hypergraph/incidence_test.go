@@ -41,20 +41,21 @@ func TestIncidenceChainOrder(t *testing.T) {
 	}
 }
 
-// TestIncidentIsASnapshot pins the new Incident contract: the returned
-// slice is a fresh copy, stable across later mutations.
+// TestIncidentIsASnapshot pins the snapshot contract of
+// AppendIncident: the returned slice is a copy, stable across later
+// mutations of the chain it was read from.
 func TestIncidentIsASnapshot(t *testing.T) {
 	g := New(3)
 	e1 := g.AddEdge(1, 1, 2)
 	e2 := g.AddEdge(2, 2, 3)
-	snap := g.Incident(2)
+	snap := g.AppendIncident(nil, 2)
 	g.RemoveEdge(e1)
 	g.AddEdge(3, 1, 2)
 	if len(snap) != 2 || snap[0] != e1 || snap[1] != e2 {
 		t.Fatalf("snapshot changed under mutation: %v", snap)
 	}
-	if got := g.Incident(2); len(got) != 2 || got[0] != e2 {
-		t.Fatalf("Incident(2) after mutation = %v", got)
+	if got := g.AppendIncident(nil, 2); len(got) != 2 || got[0] != e2 {
+		t.Fatalf("AppendIncident(nil, 2) after mutation = %v", got)
 	}
 }
 
@@ -205,7 +206,7 @@ func TestNewReservedAllocs(t *testing.T) {
 		t.Fatal("extIndex not rebuilt")
 	}
 	if got := g.AppendIncident(nil, 4); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("Incident(4) = %v", got)
+		t.Fatalf("AppendIncident(nil, 4) = %v", got)
 	}
 	// Replacing a non-empty ext must copy fresh so earlier Ext slices
 	// stay stable.
@@ -231,7 +232,7 @@ func TestCompactArenaReuseAllocs(t *testing.T) {
 			g.AddEdge(Label(1+rng.Intn(3)), u, v)
 		}
 	}
-	for _, id := range g.Edges() {
+	for id := range g.EdgesSeq() {
 		if rng.Intn(3) == 0 {
 			g.RemoveEdge(id)
 		}

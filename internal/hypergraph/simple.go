@@ -37,14 +37,12 @@ func FromTriples(n int, triples []Triple) (*Graph, int) {
 // graph contains hyperedges of a different rank.
 func (g *Graph) Triples() []Triple {
 	out := make([]Triple, 0, g.numEdges)
-	for id, e := range g.edges {
-		if !g.edgeAlive[id] {
-			continue
+	for id := range g.EdgesSeq() {
+		att := g.Att(id)
+		if len(att) != 2 {
+			panic(fmt.Sprintf("hypergraph: Triples: edge %d has rank %d", id, len(att)))
 		}
-		if e.rank != 2 {
-			panic(fmt.Sprintf("hypergraph: Triples: edge %d has rank %d", id, e.rank))
-		}
-		out = append(out, Triple{Src: g.att[e.off], Dst: g.att[e.off+1], Label: e.Label})
+		out = append(out, Triple{Src: att[0], Dst: att[1], Label: g.Label(id)})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -64,12 +62,11 @@ func (g *Graph) Triples() []Triple {
 func (g *Graph) OutNeighbors(v NodeID) []NodeID {
 	var out []NodeID
 	for id := range g.IncidentSeq(v) {
-		e := &g.edges[id]
-		if e.rank == 2 && g.att[e.off] == v {
-			out = append(out, g.att[e.off+1])
+		if att := g.Att(id); len(att) == 2 && att[0] == v {
+			out = append(out, att[1])
 		}
 	}
-	return dedupNodes(out)
+	return sortDedup(out, 0)
 }
 
 // InNeighbors returns the distinct sources of rank-2 edges entering v,
@@ -77,41 +74,16 @@ func (g *Graph) OutNeighbors(v NodeID) []NodeID {
 func (g *Graph) InNeighbors(v NodeID) []NodeID {
 	var out []NodeID
 	for id := range g.IncidentSeq(v) {
-		e := &g.edges[id]
-		if e.rank == 2 && g.att[e.off+1] == v {
-			out = append(out, g.att[e.off])
+		if att := g.Att(id); len(att) == 2 && att[1] == v {
+			out = append(out, att[0])
 		}
 	}
-	return dedupNodes(out)
+	return sortDedup(out, 0)
 }
 
 // Neighbors returns all distinct nodes sharing an edge with v
 // (any rank, any direction), ascending, excluding v itself.
-func (g *Graph) Neighbors(v NodeID) []NodeID {
-	var out []NodeID
-	for id := range g.IncidentSeq(v) {
-		for _, u := range g.attOf(&g.edges[id]) {
-			if u != v {
-				out = append(out, u)
-			}
-		}
-	}
-	return dedupNodes(out)
-}
-
-func dedupNodes(in []NodeID) []NodeID {
-	if len(in) == 0 {
-		return in
-	}
-	sort.Slice(in, func(i, j int) bool { return in[i] < in[j] })
-	out := in[:1]
-	for _, v := range in[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
+func (g *Graph) Neighbors(v NodeID) []NodeID { return g.AppendNeighbors(nil, v) }
 
 // EqualSimple reports whether two graphs have identical alive node ID
 // sets and identical rank-2 triple sets. It is an exact (not
@@ -153,23 +125,19 @@ func EqualHyper(a, b *Graph) bool {
 			return false
 		}
 	}
-	key := func(g *Graph, e *Edge) string {
-		s := fmt.Sprint(e.Label, ":")
-		for _, v := range g.attOf(e) {
+	key := func(g *Graph, id EdgeID) string {
+		s := fmt.Sprint(g.Label(id), ":")
+		for _, v := range g.Att(id) {
 			s += fmt.Sprint(v, ",")
 		}
 		return s
 	}
 	count := map[string]int{}
-	for id := range a.edges {
-		if a.edgeAlive[id] {
-			count[key(a, &a.edges[id])]++
-		}
+	for id := range a.EdgesSeq() {
+		count[key(a, id)]++
 	}
-	for id := range b.edges {
-		if b.edgeAlive[id] {
-			count[key(b, &b.edges[id])]--
-		}
+	for id := range b.EdgesSeq() {
+		count[key(b, id)]--
 	}
 	for _, c := range count {
 		if c != 0 {
@@ -223,7 +191,7 @@ func (g *Graph) WeakComponentsInto(cs *Components) int {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			for id := range g.IncidentSeqRO(u) {
-				for _, w := range g.attOf(&g.edges[id]) {
+				for _, w := range g.Att(id) {
 					if comp[w] < 0 {
 						comp[w] = ci
 						stack = append(stack, w)
@@ -305,13 +273,12 @@ func (g *Graph) ReachableWith(rs *ReachScratch, src, dst NodeID) bool {
 	for head := 0; head < len(rs.queue); head++ {
 		u := rs.queue[head]
 		for id := range g.IncidentSeq(u) {
-			e := &g.edges[id]
-			if e.rank == 2 && g.att[e.off] == u && !rs.visited[g.att[e.off+1]] {
-				if g.att[e.off+1] == dst {
+			if att := g.Att(id); len(att) == 2 && att[0] == u && !rs.visited[att[1]] {
+				if att[1] == dst {
 					return true
 				}
-				rs.visited[g.att[e.off+1]] = true
-				rs.queue = append(rs.queue, g.att[e.off+1])
+				rs.visited[att[1]] = true
+				rs.queue = append(rs.queue, att[1])
 			}
 		}
 	}

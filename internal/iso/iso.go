@@ -215,7 +215,7 @@ func Isomorphic(a, b *hypergraph.Graph) bool {
 	for _, v := range a.Nodes() {
 		m.cand[v] = byColorB[ca[v]]
 	}
-	for _, id := range b.Edges() {
+	for id := range b.EdgesSeq() {
 		m.bEdges[edgeKeyStr(b.Label(id), b.Att(id))]++
 	}
 

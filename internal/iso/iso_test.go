@@ -2,6 +2,7 @@ package iso
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"graphrepair/internal/hypergraph"
@@ -138,7 +139,7 @@ func TestRandomPermutationProperty(t *testing.T) {
 		// Random permutation copy.
 		perm := rng.Perm(n)
 		b := hypergraph.New(n)
-		for _, id := range a.Edges() {
+		for id := range a.EdgesSeq() {
 			att := a.Att(id)
 			b.AddEdge(a.Label(id),
 				hypergraph.NodeID(perm[att[0]-1]+1),
@@ -150,7 +151,7 @@ func TestRandomPermutationProperty(t *testing.T) {
 		// Perturb one edge label: must become non-isomorphic unless a
 		// parallel twin exists; use a fresh label to be safe.
 		if b.NumEdges() > 0 {
-			eid := b.Edges()[rng.Intn(b.NumEdges())]
+			eid := slices.Collect(b.EdgesSeq())[rng.Intn(b.NumEdges())]
 			att := b.Att(eid)
 			b.RemoveEdge(eid)
 			b.AddEdge(99, att[0], att[1])

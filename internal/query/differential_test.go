@@ -239,7 +239,7 @@ func terminalReach(e *Engine, s *hypergraph.Graph, src hypergraph.NodeID) map[hy
 	for len(queue) > 0 {
 		x := queue[0]
 		queue = queue[1:]
-		for _, id := range s.Incident(x) {
+		for id := range s.IncidentSeqRO(x) {
 			att := s.Att(id)
 			if e.g.IsTerminal(s.Label(id)) && att[0] == x && !seen[att[1]] {
 				seen[att[1]] = true
@@ -343,7 +343,7 @@ func checkAggregates(t *testing.T, e *Engine, derived *hypergraph.Graph) {
 		deg[dir] = map[hypergraph.NodeID]int64{}
 	}
 	hist := map[hypergraph.Label]int64{}
-	for _, id := range derived.Edges() {
+	for id := range derived.EdgesSeq() {
 		att := derived.Att(id)
 		deg[Out][att[0]]++
 		deg[In][att[1]]++

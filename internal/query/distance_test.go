@@ -21,7 +21,7 @@ func bruteDistance(g *hypergraph.Graph, u, v hypergraph.NodeID) int64 {
 	for len(queue) > 0 {
 		x := queue[0]
 		queue = queue[1:]
-		for _, id := range g.Incident(x) {
+		for id := range g.IncidentSeqRO(x) {
 			att := g.Att(id)
 			if len(att) != 2 || att[0] != x {
 				continue
@@ -138,7 +138,7 @@ func TestLabelHistogram(t *testing.T) {
 	}
 	got := e.LabelHistogram()
 	want := map[hypergraph.Label]int64{}
-	for _, id := range g.Edges() {
+	for id := range g.EdgesSeq() {
 		want[g.Label(id)]++
 	}
 	if len(got) != len(want) {

@@ -130,7 +130,8 @@ func New(g *grammar.Grammar) (*Engine, error) {
 // so building an engine over an adversarial many-rule grammar
 // respects a deadline.
 func NewContext(ctx context.Context, g *grammar.Grammar) (*Engine, error) {
-	if err := g.Validate(); err != nil {
+	bottomUp, err := g.BottomUpOrder()
+	if err != nil {
 		return nil, fmt.Errorf("query: %w", err)
 	}
 	const op = "query: build engine"
@@ -139,7 +140,7 @@ func NewContext(ctx context.Context, g *grammar.Grammar) (*Engine, error) {
 	e := &Engine{
 		g:        g,
 		rules:    make([]ruleInfo, nr),
-		bottomUp: g.BottomUpOrder(),
+		bottomUp: bottomUp,
 		m:        int64(g.Start.NumNodes()),
 	}
 

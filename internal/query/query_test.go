@@ -221,13 +221,13 @@ func TestDegreeStats(t *testing.T) {
 				var d int64
 				switch dir {
 				case Out:
-					for _, id := range derived.Incident(v) {
+					for id := range derived.IncidentSeqRO(v) {
 						if derived.Att(id)[0] == v {
 							d++
 						}
 					}
 				case In:
-					for _, id := range derived.Incident(v) {
+					for id := range derived.IncidentSeqRO(v) {
 						if derived.Att(id)[1] == v {
 							d++
 						}

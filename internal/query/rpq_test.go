@@ -28,7 +28,7 @@ func bruteMatches(g *hypergraph.Graph, nfa *NFA, u, v hypergraph.NodeID) bool {
 		if x.n == v && nfa.Accept[x.q] {
 			return true
 		}
-		for _, id := range g.Incident(x.n) {
+		for id := range g.IncidentSeqRO(x.n) {
 			att := g.Att(id)
 			if len(att) != 2 || att[0] != x.n {
 				continue
