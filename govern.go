@@ -95,9 +95,8 @@ func DecompressContext(ctx context.Context, buf []byte, lim Limits) (out *Graph,
 // Construction builds every query layer (skeletons, aggregates), so
 // no query runs a bottom-up pass. The built engine is immutable and
 // safe for unlimited concurrent readers — compile once, share across
-// goroutines. EngineOptions are accepted so that existing callers
-// still compile, and are ignored.
-func NewEngineContext(ctx context.Context, g *Grammar, _ ...EngineOptions) (e *Engine, err error) {
+// goroutines.
+func NewEngineContext(ctx context.Context, g *Grammar) (e *Engine, err error) {
 	defer backstop("new engine", &err)
 	return query.NewContext(ctx, g)
 }

@@ -78,9 +78,6 @@ type (
 	Sizes = encoding.Sizes
 	// Engine answers queries over a grammar without decompressing.
 	Engine = query.Engine
-	// EngineOptions is accepted by NewEngine and ignored: an Engine
-	// has one configuration — see NewEngineContext.
-	EngineOptions = query.EngineOptions
 	// Direction selects neighborhood query direction.
 	Direction = query.Direction
 	// NFA is an automaton over edge labels for regular path queries.
@@ -150,10 +147,10 @@ func Decompress(buf []byte) (*Graph, error) {
 }
 
 // NewEngine builds a query engine over a grammar; queries then run on
-// the compressed representation. EngineOptions are ignored. For
-// cancellation, see NewEngineContext.
-func NewEngine(g *Grammar, opts ...EngineOptions) (*Engine, error) {
-	return NewEngineContext(context.Background(), g, opts...)
+// the compressed representation. For cancellation, see
+// NewEngineContext.
+func NewEngine(g *Grammar) (*Engine, error) {
+	return NewEngineContext(context.Background(), g)
 }
 
 // NewNFA returns an automaton with n states (none accepting) starting

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"slices"
 
+	"graphrepair/internal/buf"
 	"graphrepair/internal/hypergraph"
 )
 
@@ -151,138 +152,166 @@ func (g *Grammar) Validate() error {
 
 // BottomUpOrder validates g like Validate and returns its nonterminals
 // in bottom-up ≤NT order (every nonterminal after all nonterminals its
-// right-hand side references), so a caller that needs both computes
-// the order once.
+// right-hand side references) in a fresh slice, so a caller that needs
+// both computes the order once.
 func (g *Grammar) BottomUpOrder() ([]hypergraph.Label, error) {
-	check := func(h *hypergraph.Graph, what string) error {
-		for id := range h.EdgesSeq() {
-			lab, rank := h.Label(id), len(h.Att(id))
-			if lab == 0 {
-				return fmt.Errorf("grammar: %s: edge %d has reserved label 0", what, id)
-			}
-			want := 0
-			if g.IsTerminal(lab) {
-				want = 2
-			} else {
-				r := g.Rule(lab)
-				if r == nil {
-					return fmt.Errorf("grammar: %s: edge %d has unknown label %d", what, id, lab)
-				}
-				want = r.Rank()
-			}
-			if rank != want {
-				return fmt.Errorf("grammar: %s: edge %d labeled %d has rank %d, want %d",
-					what, id, lab, rank, want)
-			}
+	for id := range g.Start.EdgesSeq() {
+		if err := g.checkEdge(g.Start, id); err != nil {
+			return nil, fmt.Errorf("grammar: start: %w", err)
 		}
-		return nil
 	}
-	if err := check(g.Start, "start"); err != nil {
+	var w walk
+	if err := g.bottomUpInto(&w); err != nil {
 		return nil, err
 	}
-	for i, r := range g.rules {
-		if r == nil {
-			return nil, fmt.Errorf("grammar: nonterminal %d has no rule", int(g.Terminals)+1+i)
-		}
-		if err := check(r, fmt.Sprintf("rule %d", int(g.Terminals)+1+i)); err != nil {
-			return nil, err
-		}
-	}
-	return g.bottomUpOrder()
+	return w.order, nil
 }
 
-// bottomUpOrder returns the nonterminals in a bottom-up ≤NT order
-// (every nonterminal appears after all nonterminals referenced by its
-// right-hand side), or an error if ≤NT is cyclic.
-func (g *Grammar) bottomUpOrder() ([]hypergraph.Label, error) {
+// checkEdge validates edge id of h: its label is known and its rank
+// is the label's.
+func (g *Grammar) checkEdge(h *hypergraph.Graph, id hypergraph.EdgeID) error {
+	lab, rank := h.Label(id), len(h.Att(id))
+	want := 2
+	if !g.IsTerminal(lab) {
+		r := g.Rule(lab)
+		if r == nil {
+			return fmt.Errorf("edge %d has unknown label %d", id, lab)
+		}
+		want = r.Rank()
+	}
+	if rank != want {
+		return fmt.Errorf("edge %d labeled %d has rank %d, want %d", id, lab, rank, want)
+	}
+	return nil
+}
+
+// walk is the scratch of bottomUpInto, the package's one ≤NT walker.
+// Prune keeps one warm in its scratch; every other caller uses a fresh
+// one, so the read-only passes stay safe for concurrent use.
+type walk struct {
+	order  []hypergraph.Label  // bottom-up ≤NT order
+	state  []uint8             // per rule: DFS state
+	cursor []hypergraph.EdgeID // per rule: next edge to scan
+	stack  []int32             // DFS stack of rule indices
+}
+
+// bottomUpInto fills w.order with all nonterminals in bottom-up ≤NT
+// order: a depth-first traversal from every rule in ascending label
+// order, right-hand-side edges in ascending ID order, run with an
+// explicit stack and per-rule edge cursors, so it never recurses over
+// the rule DAG and allocates nothing once w's buffers are warm. Every
+// rule is validated (see checkEdge) when the traversal first enters
+// it; an invalid rule or a cyclic ≤NT is an error.
+func (g *Grammar) bottomUpInto(w *walk) error {
 	const (
 		unvisited = 0
 		visiting  = 1
 		done      = 2
 	)
-	state := make(map[hypergraph.Label]int, len(g.rules))
-	var out []hypergraph.Label
-	var visit func(l hypergraph.Label) error
-	visit = func(l hypergraph.Label) error {
-		switch state[l] {
-		case visiting:
-			return fmt.Errorf("grammar: cyclic nonterminal reference at %d", l)
-		case done:
-			return nil
-		}
-		state[l] = visiting
-		r := g.Rule(l)
+	nr := len(g.rules)
+	w.state = buf.GrowClear(w.state, nr)
+	w.cursor = buf.GrowClear(w.cursor, nr)
+	// A rule is on the stack at most once, so nr bounds both.
+	w.order = slices.Grow(w.order[:0], nr)
+	w.stack = slices.Grow(w.stack[:0], nr)
+	enter := func(i int) error {
+		r := g.rules[i]
 		if r == nil {
-			return fmt.Errorf("grammar: unknown nonterminal %d", l)
+			return fmt.Errorf("grammar: nonterminal %d has no rule", int(g.Terminals)+1+i)
 		}
 		for id := range r.EdgesSeq() {
-			if lab := r.Label(id); !g.IsTerminal(lab) {
-				if err := visit(lab); err != nil {
+			if err := g.checkEdge(r, id); err != nil {
+				return fmt.Errorf("grammar: rule %d: %w", int(g.Terminals)+1+i, err)
+			}
+		}
+		w.state[i] = visiting
+		w.stack = append(w.stack, int32(i))
+		return nil
+	}
+	for root := range nr {
+		if w.state[root] != unvisited {
+			continue
+		}
+		if err := enter(root); err != nil {
+			return err
+		}
+		for len(w.stack) > 0 {
+			top := len(w.stack) - 1
+			i := w.stack[top]
+			r := g.rules[i]
+			id := g.nextNT(r, w.cursor[i])
+			if id == r.MaxEdgeID() {
+				w.stack = w.stack[:top]
+				w.state[i] = done
+				w.order = append(w.order, g.Terminals+1+hypergraph.Label(i))
+				continue
+			}
+			w.cursor[i] = id + 1
+			switch j := g.ruleIndex(r.Label(id)); w.state[j] {
+			case visiting:
+				return fmt.Errorf("grammar: cyclic nonterminal reference at %d", r.Label(id))
+			case unvisited:
+				if err := enter(j); err != nil {
 					return err
 				}
 			}
 		}
-		state[l] = done
-		out = append(out, l)
-		return nil
 	}
-	for _, l := range g.Nonterminals() {
-		if err := visit(l); err != nil {
-			return nil, err
+	return nil
+}
+
+// nextNT returns the first live nonterminal edge of h with ID at least
+// from, or h.MaxEdgeID() if there is none.
+func (g *Grammar) nextNT(h *hypergraph.Graph, from hypergraph.EdgeID) hypergraph.EdgeID {
+	for ; from < h.MaxEdgeID(); from++ {
+		if h.HasEdge(from) && !g.IsTerminal(h.Label(from)) {
+			return from
 		}
 	}
-	return out, nil
+	return from
 }
 
 // Height returns height(G), the height of the ≤NT relation: 0 if the
 // start graph has no nonterminal edges, else 1 + the longest chain of
-// nested nonterminals.
+// nested nonterminals. The grammar must be valid.
 func (g *Grammar) Height() int {
-	depth := make(map[hypergraph.Label]int, len(g.rules))
-	order, err := g.bottomUpOrder()
+	order, err := g.BottomUpOrder()
 	if err != nil {
 		panic(err)
 	}
+	// depth[i] is the length of the longest chain of nested
+	// nonterminals from rule i, itself included.
+	depth := make([]int, len(g.rules))
+	h := func(r *hypergraph.Graph) int {
+		d := 0
+		for id := range r.EdgesSeq() {
+			if lab := r.Label(id); !g.IsTerminal(lab) {
+				d = max(d, depth[g.ruleIndex(lab)])
+			}
+		}
+		return d
+	}
 	for _, l := range order {
-		d := 1
-		for id := range g.Rule(l).EdgesSeq() {
-			if lab := g.Rule(l).Label(id); !g.IsTerminal(lab) {
-				if depth[lab]+1 > d {
-					d = depth[lab] + 1
-				}
-			}
-		}
-		depth[l] = d
+		depth[g.ruleIndex(l)] = 1 + h(g.Rule(l))
 	}
-	h := 0
-	for id := range g.Start.EdgesSeq() {
-		if lab := g.Start.Label(id); !g.IsTerminal(lab) {
-			if depth[lab] > h {
-				h = depth[lab]
-			}
-		}
-	}
-	return h
+	return h(g.Start)
 }
 
-// RefCounts returns ref(A) for every nonterminal: the number of
-// A-labeled edges in the start graph and all right-hand sides.
-func (g *Grammar) RefCounts() map[hypergraph.Label]int {
-	ref := make(map[hypergraph.Label]int, len(g.rules))
-	count := func(h *hypergraph.Graph) {
+// countRefs adds ref(A) for every nonterminal to the flat, rule-indexed
+// ref: the number of A-labeled edges in the start graph and all
+// right-hand sides.
+func (g *Grammar) countRefs(ref []int32) {
+	for i := -1; i < len(g.rules); i++ {
+		h := g.Start
+		if i >= 0 {
+			h = g.rules[i]
+		}
 		for id := range h.EdgesSeq() {
 			if lab := h.Label(id); !g.IsTerminal(lab) {
-				ref[lab]++
+				ref[g.ruleIndex(lab)]++
 			}
 		}
 	}
-	count(g.Start)
-	for _, r := range g.rules {
-		if r != nil {
-			count(r)
-		}
-	}
-	return ref
 }
 
 // SortedNTEdges returns the nonterminal edges of h sorted canonically
@@ -303,8 +332,17 @@ func (g *Grammar) SortedNTEdges(h *hypergraph.Graph) []hypergraph.EdgeID {
 		id     hypergraph.EdgeID
 		off    int32 // att[3:] starts at tail[off]
 	}
-	keys := make([]key, 0, h.NumEdges())
-	var tail []hypergraph.NodeID
+	// Size keys and tail exactly, so the sort allocates a fixed number
+	// of times whatever the size of h.
+	nk, nt := 0, 0
+	for id := range h.EdgesSeq() {
+		if !g.IsTerminal(h.Label(id)) {
+			nk++
+			nt += max(len(h.Att(id))-3, 0)
+		}
+	}
+	keys := make([]key, 0, nk)
+	tail := make([]hypergraph.NodeID, 0, nt)
 	for id := range h.EdgesSeq() {
 		lab := h.Label(id)
 		if g.IsTerminal(lab) {

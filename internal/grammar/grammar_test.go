@@ -366,10 +366,8 @@ func TestPrunePreservesDerivationProperty(t *testing.T) {
 
 func TestRefCounts(t *testing.T) {
 	g := figure1Grammar()
-	ref := g.RefCounts()
-	A := g.Nonterminals()[0]
-	if ref[A] != 3 {
-		t.Fatalf("ref(A) = %d, want 3", ref[A])
+	if ref := g.Stats()[0].Refs; ref != 3 {
+		t.Fatalf("ref(A) = %d, want 3", ref)
 	}
 }
 

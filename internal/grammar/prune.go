@@ -1,7 +1,6 @@
 package grammar
 
 import (
-	"fmt"
 	"slices"
 
 	"graphrepair/internal/buf"
@@ -10,20 +9,17 @@ import (
 
 // gramScratch holds the reusable buffers behind Prune and Inline
 // (DESIGN.md §7): reference counts and removal flags live in flat
-// arrays indexed by rule index, the bottom-up order is computed with
-// an explicit stack instead of closures, and Inline maps rule nodes
-// through a flat NodeID table. Everything is grown lazily and reused
-// across calls, so a second Prune on an already-pruned grammar — the
-// steady state of long-lived grammars — allocates nothing (pinned by
-// TestPruneAllocationBudget).
+// arrays indexed by rule index, the bottom-up order comes from the
+// package's one explicit-stack walker (bottomUpInto), and Inline maps
+// rule nodes through a flat NodeID table. Everything is grown lazily
+// and reused across calls, so a second Prune on an already-pruned
+// grammar — the steady state of long-lived grammars — allocates
+// nothing (pinned by TestPruneAllocationBudget).
 type gramScratch struct {
 	ref     []int32             // per rule: reference count
 	removed []bool              // per rule: inlined away in this Prune
 	remap   []hypergraph.Label  // per rule: compacted label (0 = dropped)
-	order   []hypergraph.Label  // bottom-up ≤NT order
-	state   []uint8             // per rule: DFS state
-	cursor  []int32             // per rule: DFS edge cursor
-	stack   []int32             // DFS stack of rule indices
+	walk    walk                // bottom-up ≤NT order
 	edgeBuf []hypergraph.EdgeID // l-edge snapshot per host
 	hosts   [][]int32           // per rule: host indices referencing it (-1 = start)
 
@@ -103,10 +99,9 @@ func (g *Grammar) Prune() int {
 	for i := range s.hosts {
 		s.hosts[i] = s.hosts[i][:0]
 	}
-	g.countRefsInto(s.ref, g.Start)
+	g.countRefs(s.ref)
 	g.indexHosts(s, -1, g.Start)
 	for j, r := range g.rules {
-		g.countRefsInto(s.ref, r)
 		g.indexHosts(s, int32(j), r)
 	}
 
@@ -128,10 +123,12 @@ func (g *Grammar) Prune() int {
 	}
 
 	// Pass 2: bottom-up ≤NT order, removing non-contributing rules.
-	// The order is fixed before the loop; inlining only appends edges
-	// to rules later in it.
-	g.bottomUpInto(s)
-	for _, l := range s.order {
+	// The order is fixed before the loop, and still lists the rules
+	// pass 1 removed; inlining only appends edges to rules later in it.
+	if err := g.bottomUpInto(&s.walk); err != nil {
+		panic(err)
+	}
+	for _, l := range s.walk.order {
 		i := g.ruleIndex(l)
 		if s.removed[i] {
 			continue
@@ -147,16 +144,6 @@ func (g *Grammar) Prune() int {
 		g.compactLabels()
 	}
 	return removed
-}
-
-// countRefsInto adds h's nonterminal edge labels to the flat reference
-// counts.
-func (g *Grammar) countRefsInto(ref []int32, h *hypergraph.Graph) {
-	for id := range h.EdgesSeq() {
-		if lab := h.Label(id); !g.IsTerminal(lab) {
-			ref[g.ruleIndex(lab)]++
-		}
-	}
 }
 
 // indexHosts records host (start = -1, rule j = j) in the host list of
@@ -248,78 +235,6 @@ func (g *Grammar) inlineRuleIn(h *hypergraph.Graph, host int32, l hypergraph.Lab
 			}
 		}
 	}
-}
-
-// bottomUpInto fills s.order with the live nonterminals in bottom-up
-// ≤NT order: the same depth-first traversal as bottomUpOrder (rules
-// visited in ascending label order, right-hand-side edges in
-// ascending ID order, rules removed by this Prune still traversed),
-// filtered to live rules — but run with an explicit stack and per-rule
-// edge cursors in the scratch arena, so it allocates nothing once the
-// buffers are warm. Panics on a cyclic ≤NT.
-func (g *Grammar) bottomUpInto(s *gramScratch) {
-	const (
-		unvisited = 0
-		visiting  = 1
-		done      = 2
-	)
-	nr := len(g.rules)
-	s.state = buf.GrowClear(s.state, nr)
-	s.cursor = buf.GrowClear(s.cursor, nr)
-	s.order = s.order[:0]
-	stack := s.stack[:0]
-	for root := 0; root < nr; root++ {
-		if s.state[root] != unvisited {
-			continue
-		}
-		s.state[root] = visiting
-		stack = append(stack, int32(root))
-		for len(stack) > 0 {
-			i := stack[len(stack)-1]
-			r := g.rules[i]
-			pushed := false
-			for c := s.cursor[i]; c < int32(r.MaxEdgeID()); c++ {
-				id := hypergraph.EdgeID(c)
-				if !r.HasEdge(id) {
-					continue
-				}
-				lab := r.Label(id)
-				if g.IsTerminal(lab) {
-					continue
-				}
-				j := g.ruleIndex(lab)
-				if j < 0 || j >= nr {
-					panic(fmt.Sprintf("grammar: unknown nonterminal %d", lab))
-				}
-				if s.state[j] == done {
-					continue
-				}
-				if s.state[j] == visiting {
-					panic(fmt.Sprintf("grammar: cyclic nonterminal reference at %d", lab))
-				}
-				// Descend; resume this rule after the edge.
-				s.cursor[i] = c + 1
-				s.state[j] = visiting
-				stack = append(stack, int32(j))
-				pushed = true
-				break
-			}
-			if !pushed {
-				stack = stack[:len(stack)-1]
-				s.state[i] = done
-				s.order = append(s.order, g.Terminals+1+hypergraph.Label(i))
-			}
-		}
-	}
-	s.stack = stack
-	// Restrict to live rules, preserving order.
-	live := s.order[:0]
-	for _, l := range s.order {
-		if !s.removed[g.ruleIndex(l)] {
-			live = append(live, l)
-		}
-	}
-	s.order = live
 }
 
 // compactLabels drops removed rules and renumbers the survivors

@@ -20,22 +20,26 @@ type RuleStats struct {
 
 // Stats returns per-rule statistics sorted by label — the data behind
 // `grepair -stats` and useful when inspecting what the compressor
-// found.
+// found. The grammar must be valid.
 func (g *Grammar) Stats() []RuleStats {
-	refs := g.RefCounts()
-	nodeCounts, edgeCounts := g.derivedCounts()
-	out := make([]RuleStats, 0, g.NumRules())
-	for _, nt := range g.Nonterminals() {
-		rhs := g.Rule(nt)
-		out = append(out, RuleStats{
-			Label:        nt,
+	order, err := g.BottomUpOrder()
+	if err != nil {
+		panic(err)
+	}
+	nodes, edges := g.DerivedCounts(order)
+	refs := make([]int32, len(g.rules))
+	g.countRefs(refs)
+	out := make([]RuleStats, len(g.rules))
+	for i, rhs := range g.rules {
+		out[i] = RuleStats{
+			Label:        g.Terminals + 1 + hypergraph.Label(i),
 			Rank:         rhs.Rank(),
 			Nodes:        rhs.NumNodes(),
 			Edges:        rhs.NumEdges(),
-			Refs:         refs[nt],
-			DerivedNodes: nodeCounts[nt],
-			DerivedEdges: edgeCounts[nt],
-		})
+			Refs:         int(refs[i]),
+			DerivedNodes: nodes[i],
+			DerivedEdges: edges[i],
+		}
 	}
 	return out
 }

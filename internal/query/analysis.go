@@ -445,29 +445,45 @@ func (e *Engine) degreeStats(tk *ticker) (mm [3][2]int64, err error) {
 }
 
 // LabelHistogram returns the number of terminal edges of val(G) per
-// label, in one bottom-up pass. The pass runs during construction;
-// the returned map is a fresh copy the caller may mutate.
+// label. The pass runs during construction; the returned map is a
+// fresh copy the caller may mutate.
 func (e *Engine) LabelHistogram() map[hypergraph.Label]int64 {
 	return maps.Clone(e.hist)
 }
 
+// labelHistogram builds the histogram in one top-down pass over the
+// reversed ≤NT order, the start graph first. Each rule's multiplicity,
+// the number of its instances in val(G), is complete when the pass
+// reaches it: the start graph occurs once, and every A-edge adds its
+// host's multiplicity to A's, which comes later. Each right-hand side
+// adds its terminal edges, times its multiplicity, into the one result
+// map, so memory is O(rules + distinct labels), never O(Terminals),
+// and a rule with multiplicity 0 adds no key.
 func (e *Engine) labelHistogram(tk *ticker) (map[hypergraph.Label]int64, error) {
-	sums, err := fold(e, tk, "query: build engine", func(h *hypergraph.Graph, sums []map[hypergraph.Label]int64) (map[hypergraph.Label]int64, error) {
-		out := make(map[hypergraph.Label]int64)
+	nr := len(e.rules)
+	mult := make([]int64, nr+1) // mult[nr] is the start graph's
+	mult[nr] = 1
+	hist := make(map[hypergraph.Label]int64)
+	for k := len(e.bottomUp); k >= 0; k-- {
+		i, h := nr, e.g.Start
+		if k < len(e.bottomUp) {
+			i = e.ruleIdx(e.bottomUp[k])
+			h = e.rules[i].rhs
+		}
+		if mult[i] == 0 {
+			continue
+		}
+		if err := tk.check("query: build engine"); err != nil {
+			return nil, err
+		}
 		for id := range h.EdgesSeq() {
-			lab := h.Label(id)
-			if e.g.IsTerminal(lab) {
-				out[lab] = govern.SatAdd(out[lab], 1)
-				continue
-			}
-			for l, c := range sums[e.ruleIdx(lab)] {
-				out[l] = govern.SatAdd(out[l], c)
+			if lab := h.Label(id); e.g.IsTerminal(lab) {
+				hist[lab] = govern.SatAdd(hist[lab], mult[i])
+			} else {
+				j := e.ruleIdx(lab)
+				mult[j] = govern.SatAdd(mult[j], mult[i])
 			}
 		}
-		return out, nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return sums[len(e.rules)], nil
+	return hist, nil
 }

@@ -15,9 +15,9 @@
 //     DAG, and any other pair lays out only the right-hand sides
 //     along its two G-representations, joined by at most rank²
 //     S′-closure arcs between their top-level attachment nodes.
-//   - Speed-up queries evaluated in one bottom-up pass: number of
-//     weakly connected components, minimum/maximum degree, node and
-//     edge counts, the label histogram.
+//   - Speed-up queries evaluated in one pass over the ≤NT order:
+//     number of weakly connected components, minimum/maximum degree,
+//     node and edge counts, the label histogram.
 //
 // The paper describes these algorithms but reports they were not
 // implemented; this package implements and tests all of them.
@@ -28,9 +28,10 @@
 // query from any number of goroutines (DESIGN.md §13). Construction
 // is the compile phase and the engine's one configuration. It derives
 // every table the node numbering of val(G) depends on into dense
-// rule-indexed slices, and builds every query layer (the min-plus
-// skeletons, the component, degree and label aggregates), each one
-// instance of the bottom-up fold (analysis.go). After that the engine
+// rule-indexed slices, from the grammar's own derived counts, and
+// builds every query layer: the min-plus skeletons and the component
+// and degree aggregates, each one instance of the bottom-up fold
+// (analysis.go), and the label histogram. After that the engine
 // is immutable and shared lock-free by all readers; all per-query
 // mutable state lives in pooled scratch structs (scratch.go).
 package query
@@ -144,26 +145,10 @@ func NewContext(ctx context.Context, g *grammar.Grammar) (*Engine, error) {
 		m:        int64(g.Start.NumNodes()),
 	}
 
-	// Derived node and edge counts, saturating like the grammar's own
-	// analytic sizes; the start graph's are those of val(G).
-	type size struct{ nodes, edges int64 }
-	sizes, err := fold(e, &tk, op, func(h *hypergraph.Graph, sums []size) (size, error) {
-		s := size{nodes: int64(h.NumNodes() - h.Rank())}
-		for id := range h.EdgesSeq() {
-			if lab := h.Label(id); g.IsTerminal(lab) {
-				s.edges = govern.SatAdd(s.edges, 1)
-			} else {
-				in := sums[e.ruleIdx(lab)]
-				s.nodes = govern.SatAdd(s.nodes, in.nodes)
-				s.edges = govern.SatAdd(s.edges, in.edges)
-			}
-		}
-		return s, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	e.total, e.edges = sizes[nr].nodes, sizes[nr].edges
+	// Derived node and edge counts, the grammar's flat table; index
+	// nr holds val(G)'s.
+	nodes, edges := g.DerivedCounts(bottomUp)
+	e.total, e.edges = nodes[nr], edges[nr]
 	if e.total == math.MaxInt64 {
 		// Derived IDs are int64; a saturated total means val(G) has
 		// too many nodes to number.
@@ -191,7 +176,7 @@ func NewContext(ctx context.Context, g *grammar.Grammar) (*Engine, error) {
 			if lab := rhs.Label(id); !g.IsTerminal(lab) {
 				ri.ntEdges = append(ri.ntEdges, id)
 				ri.ntOffsets = append(ri.ntOffsets, off)
-				off = govern.SatAdd(off, sizes[e.ruleIdx(lab)].nodes)
+				off = govern.SatAdd(off, nodes[e.ruleIdx(lab)])
 			}
 		}
 	}
@@ -202,7 +187,7 @@ func NewContext(ctx context.Context, g *grammar.Grammar) (*Engine, error) {
 	base := e.m
 	for _, id := range e.topEdges {
 		e.topBase = append(e.topBase, base)
-		base = govern.SatAdd(base, sizes[e.ruleIdx(s.Label(id))].nodes)
+		base = govern.SatAdd(base, nodes[e.ruleIdx(s.Label(id))])
 	}
 
 	// Scrub the incidence chains of every graph the queries will
