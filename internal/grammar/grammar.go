@@ -314,35 +314,46 @@ func (g *Grammar) countRefs(ref []int32) {
 	}
 }
 
-// SortedNTEdges returns the nonterminal edges of h sorted canonically
-// by (label, attachment sequence), ties broken by edge ID. This is the
-// derivation order used for the start graph so that encoder and
-// decoder (which rebuilds the start graph from matrices, losing
-// insertion order) agree on val(G), and the order in which the query
-// engine lays out the derived-ID blocks of the start graph's edges.
+// CompareNTEdges is the canonical order of the nonterminal edges of a
+// graph h: by label, then attachment sequence, ties broken by edge ID.
+// SortedNTEdges sorts by it, and the query engine binary-searches the
+// start graph's sorted edges with it.
+func CompareNTEdges(h *hypergraph.Graph, a, b hypergraph.EdgeID) int {
+	if c := cmp.Compare(h.Label(a), h.Label(b)); c != 0 {
+		return c
+	}
+	if c := slices.Compare(h.Att(a), h.Att(b)); c != 0 {
+		return c
+	}
+	return cmp.Compare(a, b)
+}
+
+// SortedNTEdges returns the nonterminal edges of h in CompareNTEdges
+// order. This is the derivation order used for the start graph so
+// that encoder and decoder (which rebuilds the start graph from
+// matrices, losing insertion order) agree on val(G), and the order in
+// which the query engine lays out the derived-ID blocks of the start
+// graph's edges.
 //
-// The sort runs over pointer-free keys and never reads the graph: the
-// label and the first three attachment nodes are packed into two
-// words (IDs are positive int32s, and the edges of one label share its
-// rule's rank, so padding short attachments with 0 keeps the order),
-// and any further attachment nodes are copied into one flat slice.
+// The sort runs over pointer-free keys: the label and the first three
+// attachment nodes are packed into two words (IDs are positive
+// int32s, and the edges of one label share its rule's rank, so padding
+// short attachments with 0 keeps the order). Only keys that tie on
+// those words read the graph, through CompareNTEdges itself.
 func (g *Grammar) SortedNTEdges(h *hypergraph.Graph) []hypergraph.EdgeID {
 	type key struct {
 		hi, lo uint64 // label·att[0], att[1]·att[2]
 		id     hypergraph.EdgeID
-		off    int32 // att[3:] starts at tail[off]
 	}
-	// Size keys and tail exactly, so the sort allocates a fixed number
-	// of times whatever the size of h.
-	nk, nt := 0, 0
+	// Size the keys exactly, so the sort allocates a fixed number of
+	// times whatever the size of h.
+	nk := 0
 	for id := range h.EdgesSeq() {
 		if !g.IsTerminal(h.Label(id)) {
 			nk++
-			nt += max(len(h.Att(id))-3, 0)
 		}
 	}
 	keys := make([]key, 0, nk)
-	tail := make([]hypergraph.NodeID, 0, nt)
 	for id := range h.EdgesSeq() {
 		lab := h.Label(id)
 		if g.IsTerminal(lab) {
@@ -353,10 +364,7 @@ func (g *Grammar) SortedNTEdges(h *hypergraph.Graph) []hypergraph.EdgeID {
 		for i := range min(len(att), 3) {
 			a[i] = uint64(att[i])
 		}
-		keys = append(keys, key{hi: uint64(lab)<<32 | a[0], lo: a[1]<<32 | a[2], id: id, off: int32(len(tail))})
-		if len(att) > 3 {
-			tail = append(tail, att[3:]...)
-		}
+		keys = append(keys, key{hi: uint64(lab)<<32 | a[0], lo: a[1]<<32 | a[2], id: id})
 	}
 	slices.SortFunc(keys, func(a, b key) int {
 		if a.hi != b.hi {
@@ -365,12 +373,7 @@ func (g *Grammar) SortedNTEdges(h *hypergraph.Graph) []hypergraph.EdgeID {
 		if a.lo != b.lo {
 			return cmp.Compare(a.lo, b.lo)
 		}
-		if n := int32(g.Rule(hypergraph.Label(a.hi>>32)).Rank()) - 3; n > 0 {
-			if c := slices.Compare(tail[a.off:a.off+n], tail[b.off:b.off+n]); c != 0 {
-				return c
-			}
-		}
-		return cmp.Compare(a.id, b.id)
+		return CompareNTEdges(h, a.id, b.id)
 	})
 	nts := make([]hypergraph.EdgeID, len(keys))
 	for i, k := range keys {

@@ -448,6 +448,11 @@ func TestSortedNTEdgesOrder(t *testing.T) {
 		}
 		return slices.Compare(start.Att(a), start.Att(b))
 	})
+	for i := 1; i < len(want); i++ {
+		if CompareNTEdges(start, want[i-1], want[i]) >= 0 {
+			t.Fatalf("CompareNTEdges(%d, %d) >= 0, want the edges in sorted order", want[i-1], want[i])
+		}
+	}
 	if got := g.SortedNTEdges(start); !slices.Equal(got, want) {
 		t.Fatalf("SortedNTEdges = %v, want %v", got, want)
 	}

@@ -62,7 +62,6 @@ func (e *Engine) Reachable(u, v int64) (bool, error) {
 // per-query deadline bounds even adversarial grammars whose path
 // expansions are large.
 func (e *Engine) ReachableContext(ctx context.Context, u, v int64) (bool, error) {
-	const op = "query: reachable"
 	if u == v {
 		err := e.checkNode(u)
 		return err == nil, err
@@ -70,6 +69,11 @@ func (e *Engine) ReachableContext(ctx context.Context, u, v int64) (bool, error)
 	s := e.getScratch()
 	defer e.putScratch(s)
 	tk := ticker{ctx: ctx}
+	return e.reach(s, &tk, "query: reachable", u, v)
+}
+
+// reach is Reachable for u ≠ v, on a scratch the caller holds.
+func (e *Engine) reach(s *scratch, tk *ticker, op string, u, v int64) (bool, error) {
 	if 1 <= u && u <= e.m && 1 <= v && v <= e.m {
 		cu, cv := e.scc[u], e.scc[v]
 		if cu == cv {
@@ -78,36 +82,47 @@ func (e *Engine) ReachableContext(ctx context.Context, u, v int64) (bool, error)
 		if cv > cu { // condensed arcs only run to lower indexes
 			return false, nil
 		}
-		err := e.sccReach(s, &tk, op, cu, cv)
+		err := e.sccReach(s, tk, op, cu, cv)
 		return err == nil && s.seen[cv] == s.stamp, err
 	}
-	src, dst, err := e.expand(s, &anyLabel, e.skel, u, v, false)
+	src, dst, err := e.expand(s, &anyLabel, e.skel, u, v)
 	if err != nil {
 		return false, err
 	}
 	var ku, kv [1]hypergraph.NodeID
 	from, to := e.closureEnds(&s.loc1, &ku), e.closureEnds(&s.loc2, &kv)
-	lo := int32(math.MaxInt32)
-	for _, b := range to {
-		lo = min(lo, e.scc[b])
-	}
+	lo, _ := e.sccRange(to)
 	for _, a := range from {
 		if e.scc[a] < lo {
 			continue // every SCC of K(v) lies above a's
 		}
-		if err := e.sccReach(s, &tk, op, e.scc[a], lo); err != nil {
+		if err := e.sccReach(s, tk, op, e.scc[a], lo); err != nil {
 			return false, err
 		}
 		for _, b := range to {
 			// anyLabel has one state, so product nodes are IDs.
 			if a != b && s.seen[e.scc[b]] == s.stamp {
-				s.pg.addArc(int32(a), int32(b), 1)
+				s.pg.fwd.add(int32(a), int32(b), 1)
 			}
 		}
 	}
 	// A skeleton arc's length does not matter here, only that it is
 	// finite.
-	return s.pg.bfs(&tk, op, src, dst, anyLabel.accept)
+	return s.pg.bfs(tk, op, src, dst, anyLabel.accept)
+}
+
+// sccRange returns the lowest and the highest SCC index of the start
+// nodes ends. A path into a derivation subtree enters through the
+// attachment of its top-level edge, and a path out of one leaves
+// through it; condensed arcs run only to lower indexes, so no start
+// node of an SCC below K(v)'s lowest reaches v, and none above K(u)'s
+// highest is reached from u.
+func (e *Engine) sccRange(ends []hypergraph.NodeID) (lo, hi int32) {
+	lo, hi = math.MaxInt32, 0
+	for _, b := range ends {
+		lo, hi = min(lo, e.scc[b]), max(hi, e.scc[b])
+	}
+	return lo, hi
 }
 
 // closureEnds returns K(x) for the node loc locates: the attachment of

@@ -63,7 +63,12 @@ func BenchmarkConcurrentQueries(b *testing.B) {
 // perfbench workload: a coauthorship graph at a quarter of ca-grqc
 // (most start edges nonterminal) and the dblp60-70 version graph
 // compressed on the sharded path (a deep grammar). Query pairs are
-// uniform over the derived nodes, as in perfbench's replay.
+// uniform over the derived nodes, as in perfbench's replay. Distance
+// also runs on the reachable and the unreachable pairs alone, which
+// separates the Dijkstra from the reachability check that answers an
+// unreachable pair, Matches runs a star automaton over every terminal
+// label on the uniform pairs, and Neighbors (Both) takes the first
+// node of each pair.
 func BenchmarkPairQueries(b *testing.B) {
 	inputs := []struct {
 		name    string
@@ -87,9 +92,20 @@ func BenchmarkPairQueries(b *testing.B) {
 		}
 		rng := rand.New(rand.NewSource(13))
 		pairs := make([][2]int64, 1024)
+		var reachable, unreachable [][2]int64
 		for i := range pairs {
 			pairs[i] = [2]int64{1 + rng.Int63n(e.NumNodes()), 1 + rng.Int63n(e.NumNodes())}
+			ok, err := e.Reachable(pairs[i][0], pairs[i][1])
+			if err != nil {
+				b.Fatal(err)
+			}
+			if ok {
+				reachable = append(reachable, pairs[i])
+			} else {
+				unreachable = append(unreachable, pairs[i])
+			}
 		}
+		star := e.NewRPQ(StarNFA(ls...))
 		// A served engine is built from a decoded grammar, whose start
 		// graph is rebuilt from matrices in a different edge order.
 		payload, _, err := encoding.Encode(res.Grammar)
@@ -124,18 +140,28 @@ func BenchmarkPairQueries(b *testing.B) {
 				}
 			}
 		})
+		reach := func(u, v int64) error { _, err := e.Reachable(u, v); return err }
+		dist := func(u, v int64) error { _, err := e.Distance(u, v); return err }
 		for _, q := range []struct {
-			name string
-			run  func(u, v int64) error
+			name  string
+			pairs [][2]int64
+			run   func(u, v int64) error
 		}{
-			{"Reachable", func(u, v int64) error { _, err := e.Reachable(u, v); return err }},
-			{"Distance", func(u, v int64) error { _, err := e.Distance(u, v); return err }},
+			{"Reachable", pairs, reach},
+			{"Distance", pairs, dist},
+			{"DistanceReachable", reachable, dist},
+			{"DistanceUnreachable", unreachable, dist},
+			{"MatchesStar", pairs, func(u, v int64) error { _, err := star.Matches(u, v); return err }},
+			{"Neighbors", pairs, func(u, _ int64) error { _, err := e.Neighbors(u, Both); return err }},
 		} {
+			if len(q.pairs) == 0 {
+				continue
+			}
 			b.Run(in.name+"/"+q.name, func(b *testing.B) {
 				b.ReportAllocs()
 				i := 0
 				for b.Loop() {
-					p := pairs[i%len(pairs)]
+					p := q.pairs[i%len(q.pairs)]
 					if err := q.run(p[0], p[1]); err != nil {
 						b.Fatal(err)
 					}

@@ -97,6 +97,123 @@ func chainedSCCGrammar() *grammar.Grammar {
 	return g
 }
 
+// reenterShorterGrammar derives a graph in which the shortest path
+// from node 3 to node 4 leaves the expansion of the one nonterminal
+// edge and re-enters it: rule A (rank 2, ext 1, 2) has edges 3→1 and
+// 2→4 and the inside path 3→5→6→7→4, and the start graph has the
+// terminal edge 1→2 and A(1, 2), so 3→1→2→4 (length 3) beats the
+// inside path (length 4).
+func reenterShorterGrammar() *grammar.Grammar {
+	start := hypergraph.New(2)
+	g := grammar.New(1, start)
+	a := hypergraph.New(7)
+	a.AddEdge(1, 3, 1)
+	a.AddEdge(1, 2, 4)
+	a.AddEdge(1, 3, 5)
+	a.AddEdge(1, 5, 6)
+	a.AddEdge(1, 6, 7)
+	a.AddEdge(1, 7, 4)
+	a.SetExt(1, 2)
+	start.AddEdge(1, 1, 2)
+	start.AddEdge(g.AddRule(a), 1, 2)
+	return g
+}
+
+// parallelArcsGrammar derives a graph whose start nodes 1 and 2 are
+// joined both by a terminal edge and by a nonterminal edge, with
+// different lengths each way: rule A (rank 2, ext 1, 2) has the path
+// 1→3→4→2 (length 3) and the edge 2→1 (length 1), and the start graph
+// has A(1, 2), then 1→2 and 2→3. So 1→2 has length 1 through the
+// terminal edge, and 2→1 length 1 only through row 2 of A's skeleton.
+func parallelArcsGrammar() *grammar.Grammar {
+	start := hypergraph.New(3)
+	g := grammar.New(1, start)
+	a := hypergraph.New(4)
+	a.AddEdge(1, 1, 3)
+	a.AddEdge(1, 3, 4)
+	a.AddEdge(1, 4, 2)
+	a.AddEdge(1, 2, 1)
+	a.SetExt(1, 2)
+	start.AddEdge(g.AddRule(a), 1, 2)
+	start.AddEdge(1, 1, 2)
+	start.AddEdge(1, 2, 3)
+	return g
+}
+
+// splitKGrammar derives a graph in which K(v), the attachment of the
+// top-level edge v derives from, spans two SCCs of S′: rule B (rank 2,
+// ext 1, 2) has the one edge 1→3, the start graph has B(1, 2), the
+// terminal cycle 1⇄3 and 2→1, so {1, 3} is the lowest SCC and {2} lies
+// above it. Derived node 4 is B's internal node; every path to it
+// enters through start node 1.
+func splitKGrammar() *grammar.Grammar {
+	start := hypergraph.New(3)
+	g := grammar.New(1, start)
+	b := hypergraph.New(3)
+	b.AddEdge(1, 1, 3)
+	b.SetExt(1, 2)
+	start.AddEdge(g.AddRule(b), 1, 2)
+	start.AddEdge(1, 1, 3)
+	start.AddEdge(1, 3, 1)
+	start.AddEdge(1, 2, 1)
+	return g
+}
+
+// checkAllPairs runs the pair and RPQ differentials on every ordered
+// pair of g's derived nodes.
+func checkAllPairs(t *testing.T, g *grammar.Grammar) *Engine {
+	t.Helper()
+	e, err := New(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	derived := mustDerive(t, g)
+	pairs := allPairs(e.NumNodes())
+	checkPairs(t, e, derived, pairs)
+	checkMatches(t, e, derived, g.Terminals, pairs)
+	checkCondensation(t, e)
+	return e
+}
+
+// TestWalkReenter pins the in-place walk of S′ on a shortest path that
+// leaves u's top-level edge through the start graph and re-enters it:
+// the layout of the shared block holds a longer path, so a Distance
+// that skipped S′ for two nodes of one top-level edge answers (3, 4)
+// with 4.
+func TestWalkReenter(t *testing.T) {
+	e := checkAllPairs(t, reenterShorterGrammar())
+	if d, err := e.Distance(3, 4); err != nil || d != 3 {
+		t.Fatalf("Distance(3, 4) = %d, %v; want 3", d, err)
+	}
+}
+
+// TestWalkParallelArcs pins the walk on two start nodes joined by a
+// terminal and a nonterminal edge of different lengths: every incident
+// edge must be read, each at the attachment position of the node the
+// search settles (2→1 is only on the second row of A's skeleton).
+func TestWalkParallelArcs(t *testing.T) {
+	e := checkAllPairs(t, parallelArcsGrammar())
+	for _, c := range [][3]int64{{1, 2, 1}, {2, 1, 1}, {1, 3, 2}} {
+		if d, err := e.Distance(c[0], c[1]); err != nil || d != c[2] {
+			t.Fatalf("Distance(%d, %d) = %d, %v; want %d", c[0], c[1], d, err, c[2])
+		}
+	}
+}
+
+// TestWalkSplitK pins Distance's condensation bound on a K(v) that
+// spans two SCCs: the search must still expand start nodes of the
+// lower one, so a bound of scc ≤ lo in place of scc < lo answers
+// (3, 4) as unreachable.
+func TestWalkSplitK(t *testing.T) {
+	e := checkAllPairs(t, splitKGrammar())
+	if e.scc[1] == e.scc[2] || e.scc[1] != e.scc[3] {
+		t.Fatalf("SCCs of start nodes 1, 2, 3 are %d, %d, %d; want {1, 3} and {2}", e.scc[1], e.scc[2], e.scc[3])
+	}
+	if d, err := e.Distance(3, 4); err != nil || d != 2 {
+		t.Fatalf("Distance(3, 4) = %d, %v; want 2", d, err)
+	}
+}
+
 // allPairs returns every ordered pair of derived nodes 1..n.
 func allPairs(n int64) [][2]int64 {
 	var pairs [][2]int64

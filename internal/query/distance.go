@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"graphrepair/internal/govern"
+	"graphrepair/internal/hypergraph"
 )
 
 // The engine's one skeleton is the paper's Thm.-6 skeleton in the
@@ -29,29 +30,42 @@ func addDist(a, b int64) int64 {
 }
 
 // Distance returns the length of a shortest directed path from derived
-// node u to derived node v in val(G), or Unreachable. Like Reachable
-// it works on the path-expanded graph with (min-plus) skeletons
-// summarizing unexpanded subtrees, in O(|G|·rank²) plus the expansion.
-// A shortest path too long to count below 2^62-1 is reported as a
-// *govern.LimitError (errors.Is(err, govern.ErrLimit)).
+// node u to derived node v in val(G), or Unreachable. It asks
+// Reachable first, so an unreachable pair costs what Reachable costs.
+// Otherwise a Dijkstra runs from both ends over the path-expanded
+// graph of the two G-representations (min-plus skeletons summarizing
+// unexpanded subtrees) and S′, which it reads in place from the start
+// graph as it settles start nodes; start nodes the condensation rules
+// out are not expanded. A shortest path too long to count below
+// 2^62-1 is reported as a *govern.LimitError (errors.Is(err,
+// govern.ErrLimit)).
 func (e *Engine) Distance(u, v int64) (int64, error) {
 	return e.DistanceContext(context.Background(), u, v)
 }
 
 // DistanceContext is Distance with cooperative cancellation: ctx is
-// polled at Dijkstra frontier extractions.
+// polled at the reachability check's steps and at Dijkstra
+// extractions.
 func (e *Engine) DistanceContext(ctx context.Context, u, v int64) (int64, error) {
+	const op = "query: distance"
 	if u == v {
 		return 0, e.checkNode(u)
 	}
 	s := e.getScratch()
 	defer e.putScratch(s)
-	src, dst, err := e.expand(s, &anyLabel, e.skel, u, v, true)
+	tk := ticker{ctx: ctx}
+	if ok, err := e.reach(s, &tk, op, u, v); err != nil || !ok {
+		return Unreachable, err
+	}
+	src, dst, err := e.expand(s, &anyLabel, e.skel, u, v)
 	if err != nil {
 		return 0, err
 	}
-	tk := ticker{ctx: ctx}
-	result, err := s.pg.dijkstra(&tk, "query: distance", src, dst, anyLabel.accept)
+	var ku, kv [1]hypergraph.NodeID
+	lo, _ := e.sccRange(e.closureEnds(&s.loc2, &kv))
+	_, hi := e.sccRange(e.closureEnds(&s.loc1, &ku))
+	w := newStartWalk(e, &anyLabel, e.skel, lo, hi)
+	result, err := s.pg.twoWay(&tk, op, src, dst, &w)
 	switch {
 	case err != nil:
 		return 0, err

@@ -8,13 +8,17 @@
 //   - Reachability and distance (Thm. 6): (s,t)-queries in O(|G|)
 //     via per-nonterminal skeletons. The engine keeps one skeleton,
 //     the min-plus matrix of shortest path lengths between a rule's
-//     external nodes; reachability is a finite entry. For Reachable
-//     the engine also condenses S′, the start graph with every
-//     nonterminal edge replaced by its skeleton arcs, at compile
-//     time: two start nodes are answered by a DFS over the condensed
-//     DAG, and any other pair lays out only the right-hand sides
-//     along its two G-representations, joined by at most rank²
-//     S′-closure arcs between their top-level attachment nodes.
+//     external nodes; reachability is a finite entry. The engine also
+//     condenses S′, the start graph with every nonterminal edge
+//     replaced by its skeleton arcs, at compile time. No query lays
+//     out the start graph. Reachable answers two start nodes by a DFS
+//     over the condensed DAG, and any other pair lays out only the
+//     right-hand sides along its two G-representations, joined by at
+//     most rank² S′-closure arcs between their top-level attachment
+//     nodes. Distance answers an unreachable pair that way and
+//     otherwise runs a two-way Dijkstra that reads S′ in place from
+//     the start graph, bounded by the condensation; RPQ Matches reads
+//     S′ in place in product with its automaton.
 //   - Speed-up queries evaluated in one pass over the ≤NT order:
 //     number of weakly connected components, minimum/maximum degree,
 //     node and edge counts, the label histogram.
@@ -40,6 +44,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -156,7 +161,8 @@ func NewContext(ctx context.Context, g *grammar.Grammar) (*Engine, error) {
 			Resource: "derived nodes", Demanded: math.MaxInt64, Allowed: math.MaxInt64 - 1})
 	}
 
-	// Per-rule derivation tables.
+	// Per-rule derivation tables, each sized exactly.
+	var nodeBuf []hypergraph.NodeID
 	for _, nt := range g.Nonterminals() {
 		if err := tk.check(op); err != nil {
 			return nil, err
@@ -165,12 +171,22 @@ func NewContext(ctx context.Context, g *grammar.Grammar) (*Engine, error) {
 		ri := &e.rules[e.ruleIdx(nt)]
 		ri.rhs = rhs
 		ri.intIndex = make([]int64, int(rhs.MaxNodeID())+1)
-		for _, v := range rhs.Nodes() {
+		ri.internal = make([]hypergraph.NodeID, 0, rhs.NumNodes()-rhs.Rank())
+		nodeBuf = rhs.AppendNodes(nodeBuf[:0])
+		for _, v := range nodeBuf {
 			if !rhs.IsExternal(v) {
 				ri.intIndex[v] = int64(len(ri.internal))
 				ri.internal = append(ri.internal, v)
 			}
 		}
+		nnt := 0
+		for id := range rhs.EdgesSeq() {
+			if !g.IsTerminal(rhs.Label(id)) {
+				nnt++
+			}
+		}
+		ri.ntEdges = make([]hypergraph.EdgeID, 0, nnt)
+		ri.ntOffsets = make([]int64, 0, nnt)
 		off := int64(len(ri.internal))
 		for id := range rhs.EdgesSeq() {
 			if lab := rhs.Label(id); !g.IsTerminal(lab) {
@@ -184,6 +200,7 @@ func NewContext(ctx context.Context, g *grammar.Grammar) (*Engine, error) {
 	// Start graph: the canonical order grammar.Derive numbers by.
 	s := g.Start
 	e.topEdges = g.SortedNTEdges(s)
+	e.topBase = make([]int64, 0, len(e.topEdges))
 	base := e.m
 	for _, id := range e.topEdges {
 		e.topBase = append(e.topBase, base)
@@ -196,7 +213,6 @@ func NewContext(ctx context.Context, g *grammar.Grammar) (*Engine, error) {
 	// (still single-goroutine) compacts every chain, and the query
 	// phase then uses the pure IncidentSeqRO traversal, so concurrent
 	// readers never see a chain mutate underneath them.
-	var nodeBuf []hypergraph.NodeID
 	scrub := func(h *hypergraph.Graph) {
 		nodeBuf = h.AppendNodes(nodeBuf[:0])
 		for _, v := range nodeBuf {
@@ -357,12 +373,14 @@ func (e *Engine) childBase(parentBase int64, lab hypergraph.Label, id hypergraph
 	panic("query: edge is not a nonterminal edge of the rule")
 }
 
-// topEdgeBase returns the block base of a top-level nonterminal edge.
+// topEdgeBase returns the block base of a top-level nonterminal edge,
+// found by binary search: topEdges is in canonical order.
 func (e *Engine) topEdgeBase(id hypergraph.EdgeID) int64 {
-	for i, te := range e.topEdges {
-		if te == id {
-			return e.topBase[i]
-		}
+	i, ok := slices.BinarySearchFunc(e.topEdges, id, func(te, id hypergraph.EdgeID) int {
+		return grammar.CompareNTEdges(e.g.Start, te, id)
+	})
+	if !ok {
+		panic("query: edge is not a top-level nonterminal edge")
 	}
-	panic("query: edge is not a top-level nonterminal edge")
+	return e.topBase[i]
 }

@@ -31,6 +31,10 @@ var fuzzDeriveLimits = govern.Limits{MaxNodes: 4096, MaxEdges: 1 << 16}
 // exactly when Distance finds a path, and exactly when Matches does
 // under a star over every terminal label; and when val(G) is small
 // enough to derive, Reachable and Distance must equal BFS on it.
+// Distance takes its unreachable verdicts from Reachable's
+// condensation, so the first check mostly pins its lengths; Matches
+// asks no reachability question first and reads S′ itself, so the
+// star check still compares two independent implementations.
 func FuzzQuery(f *testing.F) {
 	chain := hypergraph.New(33)
 	for i := 1; i <= 32; i++ {
@@ -56,7 +60,8 @@ func FuzzQuery(f *testing.F) {
 		}
 		f.Add(buf)
 	}
-	for _, g := range []*grammar.Grammar{reenterGrammar(), chainedSCCGrammar()} {
+	for _, g := range []*grammar.Grammar{reenterGrammar(), chainedSCCGrammar(),
+		reenterShorterGrammar(), parallelArcsGrammar(), splitKGrammar()} {
 		buf, _, err := encoding.Encode(g)
 		if err != nil {
 			f.Fatal(err)

@@ -55,9 +55,9 @@ func (e *Engine) NeighborsContext(ctx context.Context, k int64, dir Direction) (
 	loc := &s.loc1
 	level := len(loc.Graphs) - 1
 	h := loc.Graphs[level]
-	resolveHost := func(w hypergraph.NodeID) int64 { return e.resolveUp(loc, level, w) }
 
-	out := s.out[:0]
+	s.out = s.out[:0]
+	s.frames = s.frames[:0]
 	tk := ticker{ctx: ctx}
 	for id := range h.IncidentSeqRO(loc.Node) {
 		if err := tk.check("query: neighbors"); err != nil {
@@ -65,13 +65,12 @@ func (e *Engine) NeighborsContext(ctx context.Context, k int64, dir Direction) (
 		}
 		if lab := h.Label(id); e.g.IsTerminal(lab) {
 			if u, ok := terminalNeighbor(h.Att(id), loc.Node, dir); ok {
-				out = append(out, resolveHost(u))
+				s.out = append(s.out, e.resolveUp(loc, level, u))
 			}
 			continue
 		}
 		// Nonterminal edge incident with the node: descend into the
 		// derived subgraph (paper's getNeighboring).
-		p := h.AttPos(id, loc.Node)
 		var base int64
 		if level == 0 {
 			base = e.topEdgeBase(id)
@@ -79,12 +78,13 @@ func (e *Engine) NeighborsContext(ctx context.Context, k int64, dir Direction) (
 			parentLab := loc.Graphs[level-1].Label(loc.Path[level-1])
 			base = e.childBase(loc.Bases[level], parentLab, id)
 		}
-		if err := e.collectDeep(h, id, base, p, dir, resolveHost, &out, &tk); err != nil {
-			return nil, err
-		}
+		s.frames = append(s.frames, e.frame(-1, h, id, base, loc.Node))
 	}
-	s.out = out // persist buffer growth for the next pooled use
+	if err := e.collectDeep(s, level, dir, &tk); err != nil {
+		return nil, err
+	}
 
+	out := s.out
 	slices.Sort(out)
 	dedup := out[:0]
 	for i, v := range out {
@@ -119,41 +119,72 @@ func terminalNeighbor(att []hypergraph.NodeID, v hypergraph.NodeID, dir Directio
 	return 0, false
 }
 
-// collectDeep implements the paper's getNeighboring(e, p): it collects
-// the derived IDs of the neighbors of the p-th external node within
-// the subgraph derived by nonterminal edge id. host is the graph the
-// edge lives in (start graph or a right-hand side); base is the
-// derived-ID block base of the edge; resolveHost maps host nodes to
-// their derived IDs (capturing the context above the host). The
-// recursion visits each neighbor in O(h) as in Prop. 4.
-func (e *Engine) collectDeep(host *hypergraph.Graph, id hypergraph.EdgeID,
-	base int64, p int, dir Direction, resolveHost func(hypergraph.NodeID) int64,
-	out *[]int64, tk *ticker) error {
-	lab := host.Label(id)
-	ri := e.rule(lab)
-	rhs := ri.rhs
-	x := rhs.Ext()[p]
-	// Resolver for nodes of rhs in this instance's context.
-	resolveHere := func(w hypergraph.NodeID) int64 {
-		if rhs.IsExternal(w) {
-			return resolveHost(host.Att(id)[rhs.ExtIndex(w)])
-		}
-		return base + ri.intIndex[w] + 1
-	}
-	for eid := range rhs.IncidentSeqRO(x) {
-		if err := tk.check("query: neighbors"); err != nil {
-			return err
-		}
-		if e.g.IsTerminal(rhs.Label(eid)) {
-			if u, ok := terminalNeighbor(rhs.Att(eid), x, dir); ok {
-				*out = append(*out, resolveHere(u))
-			}
+// nbrFrame is one instance of a nonterminal edge that a neighborhood
+// query descends into: edge id of host, entered at the rule's external
+// node x, with its derived block at base. parent is the frame of the
+// instance host belongs to, or -1 for the queried node's own graph.
+type nbrFrame struct {
+	ri     *ruleInfo
+	host   *hypergraph.Graph
+	base   int64
+	parent int32
+	id     hypergraph.EdgeID
+	x      hypergraph.NodeID
+	open   bool // the frame's edges have been read
+}
+
+// frame returns the frame for edge id of host entered at host node v.
+func (e *Engine) frame(parent int32, host *hypergraph.Graph, id hypergraph.EdgeID, base int64, v hypergraph.NodeID) nbrFrame {
+	ri := e.rule(host.Label(id))
+	return nbrFrame{ri: ri, host: host, base: base, parent: parent, id: id, x: ri.rhs.Ext()[host.AttPos(id, v)]}
+}
+
+// collectDeep implements the paper's getNeighboring(e, p) for every
+// frame on s.frames: it appends to s.out the derived IDs of the
+// neighbors of the external node x within the subgraph derived by the
+// frame's edge. It runs depth-first on the explicit frame stack, not
+// on the goroutine's: a frame stays below the frames of the edges it
+// contains until they are done, so a node of any frame resolves to its
+// derived ID by following the parent links (resolveFrame). Each
+// neighbor costs O(h), as in Prop. 4.
+func (e *Engine) collectDeep(s *scratch, level int, dir Direction, tk *ticker) error {
+	for len(s.frames) > 0 {
+		f := int32(len(s.frames) - 1)
+		if s.frames[f].open {
+			s.frames = s.frames[:f]
 			continue
 		}
-		pp := rhs.AttPos(eid, x)
-		if err := e.collectDeep(rhs, eid, e.childBase(base, lab, eid), pp, dir, resolveHere, out, tk); err != nil {
-			return err
+		s.frames[f].open = true
+		fr := s.frames[f]
+		rhs := fr.ri.rhs
+		for eid := range rhs.IncidentSeqRO(fr.x) {
+			if err := tk.check("query: neighbors"); err != nil {
+				return err
+			}
+			if e.g.IsTerminal(rhs.Label(eid)) {
+				if u, ok := terminalNeighbor(rhs.Att(eid), fr.x, dir); ok {
+					s.out = append(s.out, e.resolveFrame(s, f, u, level))
+				}
+				continue
+			}
+			base := e.childBase(fr.base, fr.host.Label(fr.id), eid)
+			s.frames = append(s.frames, e.frame(f, rhs, eid, base, fr.x))
 		}
 	}
 	return nil
+}
+
+// resolveFrame returns the derived ID of node w of frame f's rule:
+// an external node stands for the host's attachment node at its
+// position, up the frames and then up the queried node's location.
+func (e *Engine) resolveFrame(s *scratch, f int32, w hypergraph.NodeID, level int) int64 {
+	for ; f >= 0; f = s.frames[f].parent {
+		fr := &s.frames[f]
+		if i := fr.ri.rhs.ExtIndex(w); i >= 0 {
+			w = fr.host.Att(fr.id)[i]
+			continue
+		}
+		return fr.base + fr.ri.intIndex[w] + 1
+	}
+	return e.resolveUp(&s.loc1, level, w)
 }

@@ -15,7 +15,10 @@ import (
 // extension the paper's conclusion names). The same builder lays out
 // one right-hand side for the bottom-up skeleton pass and the glued
 // right-hand sides of a query, so there is one skeleton builder, one
-// BFS and one Dijkstra.
+// BFS and one Dijkstra. A query never lays out the start graph's
+// edges: Reachable joins the path blocks with S′-closure arcs, and
+// Distance and Matches read S′ in place from the start graph as their
+// Dijkstra settles start nodes (startWalk).
 
 // automaton is the compiled form of an NFA the product search runs on:
 // dense per-(state, label) transition lists.
@@ -79,23 +82,31 @@ func (a *automaton) next(q int32, l hypergraph.Label) []int32 {
 type product struct {
 	blocks []block
 	rep    []int32
-	q      int32   // automaton states
-	head   []int32 // first arc out of each product node, -1 if none
-	arcs   []arc
-	dist   []int64 // per product node; maxDist = not reached
+	q      int32  // automaton states
+	fwd    search // the layout's arcs
+	bwd    search // the same arcs reversed, for a two-way search
 	queue  []int32
-	heap   []heapItem
+	// meet is the shortest src→dst length a two-way search has seen
+	// so far, through a node both directions reached.
+	meet int64
+}
+
+// search is one direction of a search over a product: the arcs it
+// follows, chained from head, and its tentative lengths and heap.
+type search struct {
+	head []int32 // first arc out of each product node, -1 if none
+	arcs []arc
+	dist []int64 // per product node; maxDist = not reached
+	heap []heapItem
 }
 
 // block is one right-hand side laid out in a product: its graph, its
 // first ID, and the nonterminal edges of h expanded as child blocks,
-// which therefore contribute no skeleton arcs. A bare block lays out
-// its IDs but none of its edges.
+// which therefore contribute no skeleton arcs.
 type block struct {
 	h    *hypergraph.Graph
 	base int32
 	skip [2]hypergraph.EdgeID
-	bare bool
 }
 
 // arc is an edge of a product, chained from head: a terminal edge
@@ -143,23 +154,21 @@ func (g *product) id(b int, x hypergraph.NodeID) int32 {
 	return g.rep[g.blocks[b].base+int32(x)]
 }
 
-// build chains the arcs of every block's edges in product with a:
-// terminal edges step the automaton, nonterminal edges that are not
-// child blocks contribute the finite off-diagonal entries of their
-// skeletons (skel, rule-indexed). Bare blocks contribute nothing.
-func (g *product) build(e *Engine, a *automaton, skel [][]int64) error {
+// build chains the arcs of the edges of blocks from, from+1, ... in
+// product with a: terminal edges step the automaton, nonterminal edges
+// that are not child blocks contribute the finite off-diagonal entries
+// of their skeletons (skel, rule-indexed). Blocks before from get
+// their IDs but no arcs.
+func (g *product) build(e *Engine, a *automaton, skel [][]int64, from int) error {
 	n := int64(len(g.rep)) * int64(a.states)
 	if n > math.MaxInt32 {
 		return &govern.LimitError{Resource: "expanded product nodes", Demanded: n, Allowed: math.MaxInt32}
 	}
 	Q := int32(a.states)
 	g.q = Q
-	g.head = buf.GrowFill(g.head, int(n), -1)
-	g.arcs = g.arcs[:0]
-	for _, b := range g.blocks {
-		if b.bare {
-			continue
-		}
+	g.fwd.head = buf.GrowFill(g.fwd.head, int(n), -1)
+	g.fwd.arcs = g.fwd.arcs[:0]
+	for _, b := range g.blocks[from:] {
 		for id := range b.h.EdgesSeq() {
 			if id == b.skip[0] || id == b.skip[1] {
 				continue
@@ -170,7 +179,7 @@ func (g *product) build(e *Engine, a *automaton, skel [][]int64) error {
 				x, y := g.rep[b.base+int32(att[0])]*Q, g.rep[b.base+int32(att[1])]*Q
 				for q := range Q {
 					for _, p := range a.next(q, lab) {
-						g.addArc(x+q, y+p, 1)
+						g.fwd.add(x+q, y+p, 1)
 					}
 				}
 				continue
@@ -181,7 +190,7 @@ func (g *product) build(e *Engine, a *automaton, skel [][]int64) error {
 				x := g.rep[b.base+int32(att[i/Q])]*Q + i%Q
 				for j, d := range sk[i*r : (i+1)*r] {
 					if j := int32(j); i != j && d < maxDist {
-						g.addArc(x, g.rep[b.base+int32(att[j/Q])]*Q+j%Q, d)
+						g.fwd.add(x, g.rep[b.base+int32(att[j/Q])]*Q+j%Q, d)
 					}
 				}
 			}
@@ -190,21 +199,36 @@ func (g *product) build(e *Engine, a *automaton, skel [][]int64) error {
 	return nil
 }
 
-func (g *product) addArc(x, y int32, w int64) {
-	g.arcs = append(g.arcs, arc{to: y, next: g.head[x], w: w})
-	g.head[x] = int32(len(g.arcs) - 1)
+func (s *search) add(x, y int32, w int64) {
+	s.arcs = append(s.arcs, arc{to: y, next: s.head[x], w: w})
+	s.head[x] = int32(len(s.arcs) - 1)
 }
 
-// clearDist marks every product node unreached.
-func (g *product) clearDist() {
-	g.dist = buf.GrowFill(g.dist, len(g.head), maxDist)
+// reverse lays out the backward search's arcs: every arc of the
+// layout, turned around.
+func (g *product) reverse() {
+	f, b := &g.fwd, &g.bwd
+	b.head = buf.GrowFill(b.head, len(f.head), -1)
+	b.arcs = b.arcs[:0]
+	for x, a := range f.head {
+		for ; a >= 0; a = f.arcs[a].next {
+			b.add(f.arcs[a].to, int32(x), f.arcs[a].w)
+		}
+	}
+}
+
+// reset marks every product node unreached and empties the heap.
+func (s *search) reset() {
+	s.dist = buf.GrowFill(s.dist, len(s.head), maxDist)
+	s.heap = s.heap[:0]
 }
 
 // bfs reports whether product node src reaches ID dst in a state
 // accept accepts. ctx is polled (through tk) at every expansion.
 func (g *product) bfs(tk *ticker, op string, src, dst int32, accept []bool) (bool, error) {
-	g.clearDist()
-	g.dist[src] = 0
+	f := &g.fwd
+	f.reset()
+	f.dist[src] = 0
 	g.queue = append(g.queue[:0], src)
 	for i := 0; i < len(g.queue); i++ {
 		if err := tk.check(op); err != nil {
@@ -214,9 +238,9 @@ func (g *product) bfs(tk *ticker, op string, src, dst int32, accept []bool) (boo
 		if x/g.q == dst && accept[x%g.q] {
 			return true, nil
 		}
-		for a := g.head[x]; a >= 0; a = g.arcs[a].next {
-			if y := g.arcs[a].to; g.dist[y] == maxDist {
-				g.dist[y] = g.dist[x] + 1
+		for a := f.head[x]; a >= 0; a = f.arcs[a].next {
+			if y := f.arcs[a].to; f.dist[y] == maxDist {
+				f.dist[y] = f.dist[x] + 1
 				g.queue = append(g.queue, y)
 			}
 		}
@@ -225,42 +249,174 @@ func (g *product) bfs(tk *ticker, op string, src, dst int32, accept []bool) (boo
 }
 
 // dijkstra computes shortest-path lengths from product node src into
-// dist, over a binary min-heap in which a node may appear more than
-// once (entries older than dist are skipped on pop). It stops at the
-// first settled node of ID dst in a state accept accepts and returns
-// its length, or maxDist if there is none; with dst < 0, dist ends up
-// exact for every node reachable from src. ctx is polled (through tk)
-// at every extraction.
-func (g *product) dijkstra(tk *ticker, op string, src, dst int32, accept []bool) (int64, error) {
-	g.clearDist()
-	g.heap = g.heap[:0]
-	g.dist[src] = 0
-	g.push(heapItem{0, src})
-	for len(g.heap) > 0 {
+// g.fwd.dist, over a binary min-heap in which a node may appear more
+// than once (entries older than dist are skipped on pop). It stops at
+// the first settled node of ID dst in a state accept accepts and
+// returns its length, or maxDist if there is none; with dst < 0, dist
+// ends up exact for every node reachable from src. With a non-nil w, a
+// settled start node also follows its S′ arcs, read in place
+// (startWalk). ctx is polled (through tk) at every extraction.
+func (g *product) dijkstra(tk *ticker, op string, src, dst int32, accept []bool, w *startWalk) (int64, error) {
+	f := &g.fwd
+	f.reset()
+	g.relax(f, nil, src, 0)
+	for {
 		if err := tk.check(op); err != nil {
 			return 0, err
 		}
-		it := g.pop()
-		if it.d > g.dist[it.x] {
-			continue
+		it, ok := f.pop()
+		if !ok {
+			return maxDist, nil
 		}
-		if it.x/g.q == dst && accept[it.x%g.q] {
+		x, q := it.x/g.q, it.x%g.q
+		if x == dst && accept[q] {
 			return it.d, nil
 		}
-		for a := g.head[it.x]; a >= 0; a = g.arcs[a].next {
-			y := g.arcs[a].to
-			if nd := addDist(it.d, g.arcs[a].w); nd < g.dist[y] {
-				g.dist[y] = nd
-				g.push(heapItem{nd, y})
+		g.settle(f, nil, w, it, x, q)
+	}
+}
+
+// twoWay is dijkstra from src to another node dst run from both ends
+// at once, over a one-state product: the forward search follows the
+// layout's arcs, the backward one their reverses (and S′'s, with a
+// non-nil w), and each step advances the direction with the smaller
+// heap. A node both directions reach joins a src→dst path, and the
+// search stops once the two heaps' minimum keys add up to at least the
+// shortest such path, which is then the answer (maxDist if there is
+// none). A direction that runs dry has reached all it can, so the
+// search stops then too.
+func (g *product) twoWay(tk *ticker, op string, src, dst int32, w *startWalk) (int64, error) {
+	g.reverse()
+	f, b := &g.fwd, &g.bwd
+	f.reset()
+	b.reset()
+	g.meet = maxDist
+	g.relax(f, nil, src, 0)
+	g.relax(b, nil, dst, 0)
+	for len(f.heap) > 0 && len(b.heap) > 0 && addDist(f.heap[0].d, b.heap[0].d) < g.meet {
+		if err := tk.check(op); err != nil {
+			return 0, err
+		}
+		s, o := f, b
+		if len(b.heap) < len(f.heap) {
+			s, o = b, f
+		}
+		if it, ok := s.pop(); ok {
+			g.settle(s, o, w, it, it.x, 0)
+		}
+	}
+	return g.meet, nil
+}
+
+// settle expands product node it.x = x·Q + q, taken off s's heap at
+// its final length: the arcs chained from it and, for a start node of
+// a walk, its S′ arcs — unless the walk's condensation bound rules x
+// out. o is the opposite direction of a two-way search, or nil.
+func (g *product) settle(s, o *search, w *startWalk, it heapItem, x, q int32) {
+	if w != nil && x < w.n {
+		if back := s == &g.bwd; back && w.e.scc[x] > w.hi || !back && w.e.scc[x] < w.lo {
+			return
+		}
+		w.relaxFrom(g, s, o, x, q, it.d)
+	}
+	for a := s.head[it.x]; a >= 0; a = s.arcs[a].next {
+		g.relax(s, o, s.arcs[a].to, addDist(it.d, s.arcs[a].w))
+	}
+}
+
+// relax lowers product node y's length in s to d, if that is shorter,
+// and records a meeting with the opposite direction o.
+func (g *product) relax(s, o *search, y int32, d int64) {
+	if d >= s.dist[y] {
+		return
+	}
+	s.dist[y] = d
+	s.push(heapItem{d, y})
+	if o != nil && o.dist[y] < maxDist {
+		g.meet = min(g.meet, addDist(d, o.dist[y]))
+	}
+}
+
+// startWalk reads S′ — the start graph with each terminal edge kept as
+// an arc and each nonterminal edge replaced by the finite entries of
+// its skeleton — in place, for a search over a layout whose start
+// block has no arcs of its own. The arcs at a start node are read from
+// its incidence chain when the search settles it, so a query touches
+// only the part of S′ its search reaches. The walk also yields the
+// skeleton arcs of the top-level edges on the two query paths, whose
+// expanded blocks are laid out too; that is harmless, since a skeleton
+// entry is the exact shortest length inside val(A), which the expanded
+// block also holds.
+type startWalk struct {
+	e    *Engine
+	a    *automaton
+	skel [][]int64
+	n    int32 // start node IDs are 1..n-1
+	// The condensation bounds a search toward K(v) from K(u): the
+	// forward direction does not expand a start node whose SCC index
+	// is below lo, which cannot reach K(v), and the backward one none
+	// above hi, which K(u) cannot reach. lo = 0 and hi = MaxInt32
+	// rule out nothing.
+	lo, hi int32
+}
+
+// newStartWalk returns the walk of e's start graph in product with a,
+// over the product skeletons skel, bounded by SCCs lo and hi.
+func newStartWalk(e *Engine, a *automaton, skel [][]int64, lo, hi int32) startWalk {
+	return startWalk{e: e, a: a, skel: skel, n: int32(e.g.Start.MaxNodeID()) + 1, lo: lo, hi: hi}
+}
+
+// relaxFrom relaxes in s the S′ arcs at product node x·Q+q, x a start
+// node settled at length d. Forward, a terminal edge leaving x steps
+// the automaton at length 1, and a nonterminal edge gives the row of
+// its skeleton that belongs to x's attachment position in state q.
+// Backward (one state only), a terminal edge entering x and the
+// column of x's position are read instead.
+func (w *startWalk) relaxFrom(g *product, s, o *search, x, q int32, d int64) {
+	st, Q, terms := w.e.g.Start, g.q, w.e.g.Terminals
+	back := s == &g.bwd
+	for id := range st.IncidentSeqRO(hypergraph.NodeID(x)) {
+		att := st.Att(id)
+		lab := st.Label(id)
+		if lab <= terms {
+			switch {
+			case back:
+				if int32(att[1]) == x {
+					g.relax(s, o, int32(att[0]), addDist(d, 1))
+				}
+			case int32(att[0]) == x:
+				for _, p := range w.a.next(q, lab) {
+					g.relax(s, o, int32(att[1])*Q+p, addDist(d, 1))
+				}
+			}
+			continue
+		}
+		sk := w.skel[lab-terms-1]
+		r := int32(len(att)) * Q
+		i := int32(st.AttPos(id, hypergraph.NodeID(x)))*Q + q
+		if back {
+			for k, y := range att {
+				if l := sk[int32(k)*r+i]; l < maxDist && int32(k) != i {
+					g.relax(s, o, int32(y), addDist(d, l))
+				}
+			}
+			continue
+		}
+		// Entry k·Q+p of the row is attachment node k in state p.
+		row := sk[i*r : (i+1)*r]
+		for k, y := range att {
+			for p, l := range row[int32(k)*Q : int32(k+1)*Q] {
+				if l < maxDist && int32(k)*Q+int32(p) != i {
+					g.relax(s, o, int32(y)*Q+int32(p), addDist(d, l))
+				}
 			}
 		}
 	}
-	return maxDist, nil
 }
 
-func (g *product) push(it heapItem) {
-	g.heap = append(g.heap, it)
-	h := g.heap
+func (s *search) push(it heapItem) {
+	s.heap = append(s.heap, it)
+	h := s.heap
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 2
@@ -273,31 +429,38 @@ func (g *product) push(it heapItem) {
 	h[i] = it
 }
 
-func (g *product) pop() heapItem {
-	h := g.heap
-	top, last := h[0], h[len(h)-1]
-	h = h[:len(h)-1]
-	g.heap = h
-	if len(h) == 0 {
-		return top
+// pop takes the heap's minimum that is still current, skipping
+// entries a shorter one has superseded; it reports false once the heap
+// is empty.
+func (s *search) pop() (heapItem, bool) {
+	for len(s.heap) > 0 {
+		h := s.heap
+		top, last := h[0], h[len(h)-1]
+		h = h[:len(h)-1]
+		s.heap = h
+		if len(h) > 0 {
+			i := 0
+			for {
+				c := 2*i + 1
+				if c >= len(h) {
+					break
+				}
+				if c+1 < len(h) && h[c+1].d < h[c].d {
+					c++
+				}
+				if last.d <= h[c].d {
+					break
+				}
+				h[i] = h[c]
+				i = c
+			}
+			h[i] = last
+		}
+		if top.d <= s.dist[top.x] {
+			return top, true
+		}
 	}
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			break
-		}
-		if c+1 < len(h) && h[c+1].d < h[c].d {
-			c++
-		}
-		if last.d <= h[c].d {
-			break
-		}
-		h[i] = h[c]
-		i = c
-	}
-	h[i] = last
-	return top
+	return heapItem{}, false
 }
 
 // skeletons computes the product skeletons of a in one bottom-up fold.
@@ -317,17 +480,17 @@ func (e *Engine) skeletons(tk *ticker, op string, a *automaton) ([][]int64, erro
 			return nil, nil // the start graph has no external nodes
 		}
 		g.addBlock(h, -1, hypergraph.NoEdge)
-		if err := g.build(e, a, skel); err != nil {
+		if err := g.build(e, a, skel, 0); err != nil {
 			return nil, err
 		}
 		r := int32(len(ext)) * Q
 		sk := make([]int64, r*r)
 		for i := range r {
-			if _, err := g.dijkstra(tk, op, int32(ext[i/Q])*Q+i%Q, -1, nil); err != nil {
+			if _, err := g.dijkstra(tk, op, int32(ext[i/Q])*Q+i%Q, -1, nil, nil); err != nil {
 				return nil, err
 			}
 			for j := range r {
-				sk[i*r+j] = g.dist[int32(ext[j/Q])*Q+j%Q]
+				sk[i*r+j] = g.fwd.dist[int32(ext[j/Q])*Q+j%Q]
 			}
 		}
 		return sk, nil
@@ -335,14 +498,14 @@ func (e *Engine) skeletons(tk *ticker, op string, a *automaton) ([][]int64, erro
 }
 
 // expand lays out the path-expanded graph of a (u, v) query in the
-// scratch, in product with a: the start graph and the right-hand sides
-// along both G-representations, sharing the blocks of their common
-// prefix, with every other nonterminal edge replaced by its skeleton
-// arcs from skel. With withStart false the start graph's block is
-// bare, so only the right-hand sides along the two paths contribute
-// arcs (Reachable adds S′-closure arcs in place of the start graph's).
-// It returns u's product node in a's start state and v's ID.
-func (e *Engine) expand(s *scratch, a *automaton, skel [][]int64, u, v int64, withStart bool) (src, dst int32, err error) {
+// scratch, in product with a: the right-hand sides along both
+// G-representations, sharing the blocks of their common prefix, with
+// every other nonterminal edge replaced by its skeleton arcs from
+// skel. The start graph's block gets its IDs but none of its edges:
+// Reachable adds S′-closure arcs in their place, and Distance and
+// Matches read S′ in place (startWalk). It returns u's product node
+// in a's start state and v's ID.
+func (e *Engine) expand(s *scratch, a *automaton, skel [][]int64, u, v int64) (src, dst int32, err error) {
 	l1, l2 := &s.loc1, &s.loc2
 	if err := e.locateInto(l1, u); err != nil {
 		return 0, 0, err
@@ -352,7 +515,6 @@ func (e *Engine) expand(s *scratch, a *automaton, skel [][]int64, u, v int64, wi
 	}
 	g := &s.pg
 	b1 := g.addBlock(e.g.Start, -1, hypergraph.NoEdge)
-	g.blocks[b1].bare = !withStart
 	b2 := b1
 	for n, id := range l1.Path {
 		b1 = g.addBlock(l1.Graphs[n+1], b1, id)
@@ -366,7 +528,7 @@ func (e *Engine) expand(s *scratch, a *automaton, skel [][]int64, u, v int64, wi
 			b2 = g.addBlock(l2.Graphs[n+1], b2, id)
 		}
 	}
-	if err := g.build(e, a, skel); err != nil {
+	if err := g.build(e, a, skel, 1); err != nil {
 		return 0, 0, err
 	}
 	return g.id(b1, l1.Node)*g.q + int32(a.start), g.id(b2, l2.Node), nil

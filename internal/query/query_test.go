@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 
 	"graphrepair/internal/core"
@@ -143,6 +144,62 @@ func TestNeighborsDeepGrammar(t *testing.T) {
 		if !equalIDs(got, want) {
 			t.Fatalf("node %d: got %v want %v", k, got, want)
 		}
+	}
+}
+
+// chainGrammar nests n rules: rule k (rank 2) is the edge 1→3 and
+// the next rule's edge (3, 2), the last rule the edge 1→2, and the
+// start graph is the first rule's edge (1, 2). val(G) is the path
+// 1 → 3 → 4 → … → n+1 → 2.
+func chainGrammar(n int) *grammar.Grammar {
+	start := hypergraph.New(2)
+	g := grammar.New(1, start)
+	for k := range n {
+		var rhs *hypergraph.Graph
+		if k < n-1 {
+			rhs = hypergraph.New(3)
+			rhs.AddEdge(1, 1, 3)
+			rhs.AddEdge(g.Terminals+2+hypergraph.Label(k), 3, 2)
+		} else {
+			rhs = hypergraph.New(2)
+			rhs.AddEdge(1, 1, 2)
+		}
+		rhs.SetExt(1, 2)
+		g.AddRule(rhs)
+	}
+	start.AddEdge(g.Terminals+1, 1, 2)
+	return g
+}
+
+// TestNeighborsDeepChain pins that a neighborhood query descends the
+// derivation on its own frame stack, not the goroutine's: on a 1 MB
+// stack, node 2 of a chain of 2^16 nested rules is 2^16 levels below
+// its one in-neighbor. A descent that recursed once per level would
+// die with a stack overflow, which no recover can catch.
+func TestNeighborsDeepChain(t *testing.T) {
+	const n = 1 << 16
+	e, err := New(chainGrammar(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer debug.SetMaxStack(debug.SetMaxStack(1 << 20))
+	for _, c := range []struct {
+		k    int64
+		dir  Direction
+		want []int64
+	}{
+		{2, In, []int64{n + 1}},
+		{2, Both, []int64{n + 1}},
+		{1, Out, []int64{3}},
+		{n + 1, Both, []int64{2, n}},
+	} {
+		got, err := e.Neighbors(c.k, c.dir)
+		if err != nil || !equalIDs(got, c.want) {
+			t.Fatalf("Neighbors(%d, %d) = %v, %v; want %v", c.k, c.dir, got, err, c.want)
+		}
+	}
+	if d, err := e.Distance(1, 2); err != nil || d != n {
+		t.Fatalf("Distance(1, 2) = %d, %v; want %d", d, err, n)
 	}
 }
 

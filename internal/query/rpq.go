@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"graphrepair/internal/hypergraph"
 )
@@ -114,27 +115,32 @@ func (e *Engine) NewRPQContext(ctx context.Context, nfa *NFA) (*RPQ, error) {
 }
 
 // Matches reports whether some path from derived node u to derived
-// node v spells a word the automaton accepts. Like Reachable, it glues
+// node v spells a word the automaton accepts. Like Distance, it glues
 // the right-hand sides along both G-representations (product
-// skeletons standing in for unexpanded subtrees) and runs one BFS in
-// the product with the NFA, O(|G|·rank²·Q²) overall.
+// skeletons standing in for unexpanded subtrees) and searches their
+// product with the NFA together with S′ in product space, read in
+// place from the start graph. It asks no reachability question first,
+// so a star automaton over every label answers Reachable's question
+// independently of the condensation.
 func (r *RPQ) Matches(u, v int64) (bool, error) {
 	return r.MatchesContext(context.Background(), u, v)
 }
 
 // MatchesContext is Matches with cooperative cancellation: ctx is
-// polled at product-BFS frontier expansions. Per-call state lives in
-// the engine's pooled scratch, so concurrent callers never share
-// mutable memory. The empty path matches when u = v and the start
-// state accepts.
+// polled at product-Dijkstra extractions. Per-call state lives in the
+// engine's pooled scratch, so concurrent callers never share mutable
+// memory. The empty path matches when u = v and the start state
+// accepts.
 func (r *RPQ) MatchesContext(ctx context.Context, u, v int64) (bool, error) {
 	e := r.e
 	s := e.getScratch()
 	defer e.putScratch(s)
-	src, dst, err := e.expand(s, &r.aut, r.skel, u, v, true)
+	src, dst, err := e.expand(s, &r.aut, r.skel, u, v)
 	if err != nil {
 		return false, err
 	}
 	tk := ticker{ctx: ctx}
-	return s.pg.bfs(&tk, "query: rpq match", src, dst, r.aut.accept)
+	w := newStartWalk(e, &r.aut, r.skel, 0, math.MaxInt32)
+	d, err := s.pg.dijkstra(&tk, "query: rpq match", src, dst, r.aut.accept, &w)
+	return err == nil && d < maxDist, err
 }

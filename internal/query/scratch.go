@@ -1,7 +1,8 @@
 package query
 
 // scratch is all the per-call mutable state of the query phase: the
-// two G-representations, the neighbor accumulation buffer, the int-ID
+// two G-representations, the neighbor accumulation buffer and descent
+// stack, the int-ID
 // product graph a Reachable, Distance or Matches call lays out and
 // searches (product.go), and the stamps and stack of Reachable's DFS
 // over the condensation of S′ (analysis.go). The compiled Engine
@@ -14,6 +15,7 @@ package query
 type scratch struct {
 	loc1, loc2 Location
 	out        []int64
+	frames     []nbrFrame // Neighbors' explicit descent stack
 	pg         product
 	seen       []uint32 // per SCC: stamp of the last DFS that visited it
 	stamp      uint32
