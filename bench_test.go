@@ -470,14 +470,25 @@ func BenchmarkDistance(b *testing.B) {
 
 // BenchmarkCompress measures the compressor hot path (digram counting
 // and replacement) on the medium generator graphs, reporting allocs/op
-// so the allocation budget of internal/core is tracked per PR.
+// so the allocation budget of internal/core is tracked per change.
+// dblp60-70/workers=2 runs the same version graph on the sharded path.
 func BenchmarkCompress(b *testing.B) {
-	for _, name := range []string{"ca-grqc", "rdf-types-ru", "dblp60-70"} {
-		d := dataset(b, name)
-		b.Run(name, func(b *testing.B) {
+	sharded := grePairOpts()
+	sharded.Workers = 2
+	for _, c := range []struct {
+		name, dataset string
+		opts          graphrepair.Options
+	}{
+		{"ca-grqc", "ca-grqc", grePairOpts()},
+		{"rdf-types-ru", "rdf-types-ru", grePairOpts()},
+		{"dblp60-70", "dblp60-70", grePairOpts()},
+		{"dblp60-70/workers=2", "dblp60-70", sharded},
+	} {
+		d := dataset(b, c.dataset)
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := graphrepair.Compress(d.Graph, d.Labels, grePairOpts()); err != nil {
+				if _, err := graphrepair.Compress(d.Graph, d.Labels, c.opts); err != nil {
 					b.Fatal(err)
 				}
 			}

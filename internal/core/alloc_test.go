@@ -213,13 +213,41 @@ func TestCompressByteAllocsPerEdge(t *testing.T) {
 	}
 }
 
+// TestShardedCompressByteAllocsPerEdge is the sharded twin of
+// TestCompressByteAllocsPerEdge: TotalAlloc per input edge of one
+// Workers=2 compression of a dblp60-70 version graph. One compressor
+// per pool worker, reset between shards, and reading the input in
+// place bring it to about 430 B per edge; a fresh compressor per shard
+// and an input clone allocated about 1,160.
+func TestShardedCompressByteAllocsPerEdge(t *testing.T) {
+	const ceiling = 600 // bytes per input edge
+	g := gen.DBLPVersionGraph(11, gen.DefaultDBLPParams(601))
+	ls := g.Labels()
+	opts := DefaultOptions()
+	opts.Workers = 2
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := Compress(g, ls[len(ls)-1], opts); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	perEdge := float64(after.TotalAlloc-before.TotalAlloc) / float64(g.NumEdges())
+	t.Logf("%.0f B allocated per input edge (%d edges)", perEdge, g.NumEdges())
+	if perEdge > ceiling {
+		t.Errorf("sharded compression allocates %.0f B per input edge, ceiling %d", perEdge, ceiling)
+	}
+}
+
 // TestRunMintsWithinReservation checks the bound the working graph is
 // reserved from (DESIGN.md §5.6): on every catalog dataset a
 // sequential run mints one edge per replacement and one per virtual
 // edge, at most |E| + 2(C−1) − 1 in total for C weak components, so
-// the edge tables reserved up front are never regrown. Pruning is
-// skipped: it inlines rules into the start graph after the run, which
-// is not minting.
+// the edge tables reserved up front are never regrown. The same holds
+// for every shard run of the sharded path, and the reused pool
+// compressor's per-edge tables, sized before the pool, never regrow
+// across all of them. Pruning is skipped: it inlines rules into the
+// start graph after the run, which is not minting.
 func TestRunMintsWithinReservation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("catalog sweep; skipped in -short")
@@ -250,6 +278,31 @@ func TestRunMintsWithinReservation(t *testing.T) {
 			}
 			if got := c.g.EdgeCap(); got != edgeCap {
 				t.Errorf("edge tables regrown from %d to %d", edgeCap, got)
+			}
+
+			// The shard pool: a worker's compressor, reserved before the
+			// pool at the largest shard's bound, runs every shard within
+			// it and never regrows its per-edge tables.
+			shards, _, _, _ := buildShards(d.Graph)
+			pc := allocCompressor(poolTableBounds(shards))
+			iidCap, headCap, tailCap := cap(pc.edgeIID), cap(pc.occs.head), cap(pc.occs.tail)
+			for i, sh := range shards {
+				edges, comps, edgeCap := sh.g.NumEdges(), sh.comps, sh.g.EdgeCap()
+				res, err := pc.runShard(context.Background(), sh, d.Labels, shardOptions(opts))
+				if err != nil {
+					t.Fatal(err)
+				}
+				minted := res.Stats.Replacements + res.Stats.VirtualEdges
+				if bound := edges + 2*(comps-1) - 1; minted > max(bound, 0) {
+					t.Errorf("shard %d minted %d edge IDs, bound %d (|E| = %d, C = %d)", i, minted, bound, edges, comps)
+				}
+				if got := sh.g.EdgeCap(); got != edgeCap {
+					t.Errorf("shard %d: edge tables regrown from %d to %d", i, edgeCap, got)
+				}
+				if cap(pc.edgeIID) != iidCap || cap(pc.occs.head) != headCap || cap(pc.occs.tail) != tailCap {
+					t.Fatalf("shard %d: per-edge tables regrown from %d/%d/%d to %d/%d/%d", i,
+						iidCap, headCap, tailCap, cap(pc.edgeIID), cap(pc.occs.head), cap(pc.occs.tail))
+				}
 			}
 		})
 	}

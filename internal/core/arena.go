@@ -81,11 +81,20 @@ type edgeInterner struct {
 	counts []int32 // alive edges per interned ID
 }
 
-// init sizes the interner for a graph of the given number of edges:
-// the IDs of its rank-2 edges fill counts exactly.
-func (t *edgeInterner) init(edges int) {
-	t.ids = make(map[attKey]int32, edges)
-	t.counts = make([]int32, 0, edges)
+// reset empties the interner for a graph of the given number of
+// edges, whose rank-2 edges' IDs fill counts exactly. The first call
+// allocates at that size; later calls clear the map and truncate
+// counts in place, keeping what they grew to.
+func (t *edgeInterner) reset(edges int) {
+	if t.ids == nil {
+		t.ids = make(map[attKey]int32, edges)
+	} else {
+		clear(t.ids)
+	}
+	if cap(t.counts) < edges {
+		t.counts = make([]int32, 0, edges)
+	}
+	t.counts = t.counts[:0]
 }
 
 // intern returns the dense ID of (label, src→dst), allocating the next
@@ -131,8 +140,9 @@ type edgeOccs struct {
 
 // reset prepares the arena for a stage over edges 0..n-1, keeping the
 // pool's segments. The per-edge slots are allocated once, at the
-// working graph's edge capacity edgeCap, so grow never reallocates
-// them while the graph stays inside its reservation.
+// working graph's edge capacity edgeCap (or earlier, by a compressor
+// that reserves them for every graph it will run on), so grow never
+// reallocates them while the graph stays inside its reservation.
 func (s *edgeOccs) reset(n, edgeCap int) {
 	s.pool.reset()
 	s.head = fillNeg(s.head, n, edgeCap)
@@ -213,10 +223,11 @@ func (s *digramOccs) add(d *digramInfo, oi int32) {
 	d.occTail = i
 }
 
-// fillNeg returns s resized to n entries, all noEntry. When s is too
-// small it is reallocated once with capacity max(n, capacity).
+// fillNeg returns s resized to n entries, all noEntry. When s cannot
+// hold capacity entries it is reallocated once with capacity
+// max(n, capacity), so growNeg up to capacity never reallocates.
 func fillNeg(s []int32, n, capacity int) []int32 {
-	if cap(s) < n {
+	if cap(s) < max(n, capacity) {
 		s = make([]int32, 0, max(n, capacity))
 	}
 	s = s[:n]

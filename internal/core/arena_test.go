@@ -273,7 +273,7 @@ func TestArenaSteadyStateAllocs(t *testing.T) {
 // not give.
 func TestEdgeInternerExact(t *testing.T) {
 	var it edgeInterner
-	it.init(16)
+	it.reset(16)
 	f := func(l1, l2 int32, u1, v1, u2, v2 int16) bool {
 		a := it.intern(hypergraph.Label(l1), hypergraph.NodeID(u1), hypergraph.NodeID(v1))
 		b := it.intern(hypergraph.Label(l2), hypergraph.NodeID(u2), hypergraph.NodeID(v2))
@@ -299,7 +299,7 @@ func FuzzEdgeInterner(f *testing.F) {
 	f.Add(int32(5), int32(5), int32(5), int32(5), int32(5), int32(5))
 	f.Fuzz(func(t *testing.T, l1, u1, v1, l2, u2, v2 int32) {
 		var it edgeInterner
-		it.init(4)
+		it.reset(4)
 		a := it.intern(hypergraph.Label(l1), hypergraph.NodeID(u1), hypergraph.NodeID(v1))
 		b := it.intern(hypergraph.Label(l2), hypergraph.NodeID(u2), hypergraph.NodeID(v2))
 		equal := l1 == l2 && u1 == u2 && v1 == v2

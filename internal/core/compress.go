@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"graphrepair/internal/buf"
 	"graphrepair/internal/faultinject"
 	"graphrepair/internal/govern"
 	"graphrepair/internal/grammar"
@@ -231,13 +232,41 @@ func runReservation(edges, comps int) (ids, att int) {
 // run here, once; callers that build g reserve it at that size up
 // front, which makes this reservation free.
 func newCompressorOn(g *hypergraph.Graph, gram *grammar.Grammar, opts Options, comps int) *compressor {
+	c := allocCompressor(0, 0)
+	c.resetOn(g, gram, opts, comps)
+	return c
+}
+
+// allocCompressor returns a compressor with no graph bound (resetOn
+// binds one), its per-edge tables reserved for edgeCap edge IDs and its
+// per-node table for nodeSlots entries (the largest NodeID plus one).
+// resetOn and the runs after it never regrow them on graphs within
+// those bounds, so a compressor reused across shards, reserved at the
+// largest shard's, allocates them once whatever shards it runs. Its
+// arenas grow on first use.
+func allocCompressor(edgeCap, nodeSlots int) *compressor {
 	c := &compressor{
-		g:       g,
-		gram:    gram,
-		opts:    opts,
 		refiner: order.NewRefiner(),
 		digrams: make(map[digramKey]int32),
+		edgeIID: make([]int32, 0, edgeCap),
+		avail:   make([]availability, 0, nodeSlots),
 	}
+	c.occs.head = make([]int32, 0, edgeCap)
+	c.occs.tail = make([]int32, 0, edgeCap)
+	return c
+}
+
+// resetOn binds the compressor to a new graph, grammar and options, as
+// newCompressorOn describes, reusing every table, arena and scratch
+// buffer of its previous runs: a compressor can run any number of
+// graphs one after another, and a run on a reset compressor produces
+// exactly what a fresh one would.
+func (c *compressor) resetOn(g *hypergraph.Graph, gram *grammar.Grammar, opts Options, comps int) {
+	c.g, c.gram, c.opts = g, gram, opts
+	c.stats, c.tick, c.ord = Stats{}, 0, nil
+	c.refiner.Reset()
+	clear(c.digrams)
+	c.digramPool = c.digramPool[:0]
 	c.gram.Start = c.g
 	c.g.Reserve(runReservation(c.g.NumEdges(), comps))
 	// Intern every rank-2 edge exactly; the duplicate veto only applies
@@ -245,8 +274,8 @@ func newCompressorOn(g *hypergraph.Graph, gram *grammar.Grammar, opts Options, c
 	// path every edge is rank 2 (validated by Compress); a merged start
 	// graph may also carry higher-rank nonterminal edges, which are
 	// left at noEntry like any hyperedge created later.
-	c.eset.init(c.g.NumEdges())
-	c.edgeIID = fillNeg(nil, int(c.g.MaxEdgeID()), c.g.EdgeCap())
+	c.eset.reset(c.g.NumEdges())
+	c.edgeIID = fillNeg(c.edgeIID, int(c.g.MaxEdgeID()), c.g.EdgeCap())
 	for id := range c.g.EdgesSeq() {
 		att := c.g.Att(id)
 		if len(att) != 2 {
@@ -257,9 +286,9 @@ func newCompressorOn(g *hypergraph.Graph, gram *grammar.Grammar, opts Options, c
 		c.edgeIID[id] = iid
 	}
 	// The compressor only ever adds edges, never nodes, so per-node
-	// state can live in flat arrays indexed by NodeID.
-	c.avail = make([]availability, c.g.MaxNodeID()+1)
-	return c
+	// state can live in flat arrays indexed by NodeID. stageInit resets
+	// every entry before it is read.
+	c.avail = buf.Grow(c.avail, int(c.g.MaxNodeID())+1)
 }
 
 // availEntry is one link of an availability chain in the shared arena.

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"slices"
+	"sync"
 	"testing"
 
 	"graphrepair/internal/encoding"
 	"graphrepair/internal/gen"
 	"graphrepair/internal/govern"
+	"graphrepair/internal/grammar"
 	"graphrepair/internal/hypergraph"
 	"graphrepair/internal/iso"
 )
@@ -209,5 +212,148 @@ func TestParallelCanceled(t *testing.T) {
 	}
 	if !errors.Is(err, govern.ErrCanceled) {
 		t.Fatalf("want govern.ErrCanceled, got %v", err)
+	}
+}
+
+// TestShardedReadsInputInPlace pins that the sharded path reads its
+// input without cloning or writing it: on inputs with removed edges and
+// nodes (tombstones a clone would drop), compressing the input itself
+// gives the encoding and StartRemap of compressing its clone, and the
+// input is unchanged afterwards. Two compressions share the input
+// concurrently, so the race detector sees any write. The version graph
+// takes component sharding; the chain, whose removed edges leave it
+// one component, takes the BFS partition fallback.
+func TestShardedReadsInputInPlace(t *testing.T) {
+	versions := gen.DBLPVersionGraph(11, gen.DefaultDBLPParams(601))
+	k := 0
+	for id := range versions.EdgesSeq() {
+		if k%7 == 0 {
+			versions.RemoveEdge(id)
+		}
+		k++
+	}
+	removed := 0
+	for v := hypergraph.NodeID(1); v <= versions.MaxNodeID(); v++ {
+		if versions.HasNode(v) && versions.Degree(v) == 0 && v%2 == 0 {
+			versions.RemoveNode(v)
+			removed++
+		}
+	}
+	if removed == 0 {
+		t.Fatal("no isolated node to remove")
+	}
+	chain := chainGraph(2048)
+	for i := hypergraph.NodeID(1); i+2 < chain.MaxNodeID(); i += 7 {
+		chain.RemoveEdge(chain.AddEdge(1, i, i+2))
+	}
+	ls := versions.Labels()
+
+	for _, tc := range []struct {
+		name   string
+		g      *hypergraph.Graph
+		labels hypergraph.Label
+	}{
+		{"versions", versions, ls[len(ls)-1]},
+		{"chain", chain, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.g
+			opts := DefaultOptions()
+			opts.Workers = 2
+			before := g.Triples()
+			nodes, edges := g.NumNodes(), g.NumEdges()
+			want, wantBuf := compressEncoded(t, g.Clone(), tc.labels, opts)
+
+			var results [2]*Result
+			var errs [2]error
+			var wg sync.WaitGroup
+			for i := range results {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					results[i], errs[i] = Compress(g, tc.labels, opts)
+				}()
+			}
+			wg.Wait()
+			for i, res := range results {
+				if errs[i] != nil {
+					t.Fatal(errs[i])
+				}
+				buf, _, err := encoding.Encode(res.Grammar)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(buf, wantBuf) {
+					t.Errorf("in-place encoding differs from the clone's (%d vs %d bytes)", len(buf), len(wantBuf))
+				}
+				if !slices.Equal(res.StartRemap(), want.StartRemap()) {
+					t.Error("in-place StartRemap differs from the clone's")
+				}
+			}
+			if g.NumNodes() != nodes || g.NumEdges() != edges {
+				t.Errorf("input went from %d nodes/%d edges to %d/%d", nodes, edges, g.NumNodes(), g.NumEdges())
+			}
+			if !slices.Equal(g.Triples(), before) {
+				t.Error("input edges changed")
+			}
+		})
+	}
+}
+
+// TestShardReuseMatchesFresh is the oracle of the pool's compressor
+// reuse: on every catalog dataset, each shard compressed on a
+// compressor reset from earlier shards gives exactly what a fresh
+// compressor gives — the same encoded grammar, Stats and StartRemap.
+// Shards are taken in reverse order, so the reused tables and arenas
+// shrink as well as grow between runs, and the reused compressor is not
+// reserved up front.
+func TestShardReuseMatchesFresh(t *testing.T) {
+	if testing.Short() {
+		t.Skip("catalog sweep; skipped in -short")
+	}
+	ctx := context.Background()
+	sopts := shardOptions(DefaultOptions())
+	for _, name := range gen.Names("") {
+		t.Run(name, func(t *testing.T) {
+			d, err := gen.Generate(name, 256)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shards, _, _, _ := buildShards(d.Graph)
+			if len(shards) < 2 {
+				t.Fatalf("%d shards, want a pool", len(shards))
+			}
+			reused := allocCompressor(0, 0)
+			for i := len(shards) - 1; i >= 0; i-- {
+				sh := shards[i]
+				fresh := newCompressorOn(sh.g.Clone(), grammar.New(d.Labels, nil), sopts, sh.comps)
+				fresh.ctx = ctx
+				want, err := fresh.run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := reused.runShard(ctx, shard{g: sh.g.Clone(), comps: sh.comps}, d.Labels, sopts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantBuf, _, err := encoding.Encode(want.Grammar)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotBuf, _, err := encoding.Encode(got.Grammar)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(gotBuf, wantBuf) {
+					t.Fatalf("shard %d: reused encoding differs from fresh (%d vs %d bytes)", i, len(gotBuf), len(wantBuf))
+				}
+				if got.Stats != want.Stats {
+					t.Fatalf("shard %d: reused stats %+v, fresh %+v", i, got.Stats, want.Stats)
+				}
+				if !slices.Equal(got.StartRemap(), want.StartRemap()) {
+					t.Fatalf("shard %d: reused StartRemap differs from fresh", i)
+				}
+			}
+		})
 	}
 }

@@ -17,10 +17,11 @@ import (
 
 // Sharded compression (Options.Workers > 1, DESIGN.md §12).
 //
-// The input is split into node-disjoint shards, each shard is
-// compressed independently on a bounded worker pool (every worker owns
-// its own compressor, so all the per-stage arenas are private), and the
-// per-shard grammars are merged — rules admitted in (shard, label)
+// The input is read in place and split into node-disjoint shards, each
+// shard is compressed independently on a bounded worker pool (every
+// worker owns one compressor, reset in place between the shards it
+// claims, so all the per-stage arenas are private), and the per-shard
+// grammars are merged — rules admitted in (shard, label)
 // order with structurally identical rules deduplicated — into one
 // grammar whose start graph is the concatenation of the shard start
 // graphs. A final sequential compressor run over the merged start
@@ -64,9 +65,10 @@ type cutEdge struct {
 }
 
 // compressSharded implements CompressContext for Workers > 1. The
-// input is cloned once (same ID-stability caveat as the sequential
-// path: the clone is compacted, so StartRemap is in post-compaction
-// input IDs, which equal the caller's IDs for dense inputs).
+// input is read in place and never written: the decomposition, the
+// shard carving and the remap only read it, and the shards are fresh
+// graphs. StartRemap is in the caller's node IDs, as on the sequential
+// path (its clone keeps node IDs and the alive-edge order).
 func compressSharded(ctx context.Context, g *hypergraph.Graph, terminals hypergraph.Label, opts Options) (*Result, error) {
 	// Small shards can finish inside the round-stride poll window, so
 	// an already-canceled context is rejected up front: the contract is
@@ -74,14 +76,12 @@ func compressSharded(ctx context.Context, g *hypergraph.Graph, terminals hypergr
 	if err := govern.Checkpoint(ctx, "core: compress"); err != nil {
 		return nil, err
 	}
-	base := g.Clone()
 
-	shards, cuts, shardOf, localOf := buildShards(base)
+	shards, cuts, shardOf, localOf := buildShards(g)
 	if len(shards) < 2 {
 		// Nothing to parallelize (tiny or empty graph): run the
-		// sequential pipeline on the clone we already paid for.
-		var cs hypergraph.Components
-		c := newCompressorOn(base, grammar.New(terminals, nil), opts, base.WeakComponentsInto(&cs))
+		// sequential pipeline, which clones the input it consumes.
+		c := newCompressor(g, terminals, opts)
 		c.ctx = ctx
 		return c.run()
 	}
@@ -91,7 +91,7 @@ func compressSharded(ctx context.Context, g *hypergraph.Graph, terminals hypergr
 		return nil, err
 	}
 
-	return mergeShardResults(ctx, base, shards, cuts, shardOf, localOf, results, terminals, opts)
+	return mergeShardResults(ctx, g, shards, cuts, shardOf, localOf, results, terminals, opts)
 }
 
 // buildShards decomposes base into node-disjoint shards. Component
@@ -350,33 +350,20 @@ func carveShards(base *hypergraph.Graph, nShards int, nodeShard func(hypergraph.
 }
 
 // runShardPool compresses every shard on at most opts.Workers
-// goroutines. Each worker builds its own compressor per shard (arenas
-// are never shared), claims shards off an atomic cursor, and stops on
-// the first error or cancellation. A worker panic is re-raised on the
-// calling goroutine after the pool drains, so the facade's recover
-// backstop still observes it.
+// goroutines. Each worker owns one compressor (arenas are never
+// shared): it builds it on its first shard, with the per-edge and
+// per-node tables reserved at the largest shard's bound, and resets it
+// in place for every later shard, so only the arenas grow past that.
+// Workers claim shards off an atomic cursor and stop on the first
+// error or cancellation. A worker panic is re-raised on the calling
+// goroutine after the pool drains, so the facade's recover backstop
+// still observes it.
 func runShardPool(ctx context.Context, shards []shard, terminals hypergraph.Label, opts Options) ([]*Result, error) {
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// Pruning runs per shard too: a shard rule's con(A) is final when
-	// its shard finishes, because later stages only ever move NT edges
-	// (start graph -> new rule RHS), never duplicate or drop them. The
-	// merged stage then prunes only its own cross-shard rules, keeping
-	// the inline cost on the parallel side.
-	//
-	// Shard stages downgrade the FP order to its single-round FP0
-	// refinement: the fixpoint's payoff is distinguishing structure at
-	// long range, which barely exists inside a small shard, while its
-	// cost (a full refinement sweep per digram round) dominates shard
-	// time. The merged stage keeps the full fixpoint, so cross-shard
-	// ordering still sees it. Like everything else here this choice is
-	// independent of the worker count.
-	sopts := opts
-	sopts.Workers = 0
-	if sopts.Order == order.FP {
-		sopts.Order = order.FP0
-	}
+	sopts := shardOptions(opts)
+	edgeCap, nodeSlots := poolTableBounds(shards)
 
 	results := make([]*Result, len(shards))
 	errs := make([]error, len(shards))
@@ -397,6 +384,7 @@ func runShardPool(ctx context.Context, shards []shard, terminals hypergraph.Labe
 					cancel()
 				}
 			}()
+			var c *compressor
 			for {
 				i := int(cursor.Add(1)) - 1
 				if i >= len(shards) {
@@ -409,9 +397,10 @@ func runShardPool(ctx context.Context, shards []shard, terminals hypergraph.Labe
 					cancel()
 					continue
 				}
-				c := newCompressorOn(shards[i].g, grammar.New(terminals, nil), sopts, shards[i].comps)
-				c.ctx = sctx
-				results[i], errs[i] = c.run()
+				if c == nil {
+					c = allocCompressor(edgeCap, nodeSlots)
+				}
+				results[i], errs[i] = c.runShard(sctx, shards[i], terminals, sopts)
 				if errs[i] != nil {
 					cancel()
 				}
@@ -443,6 +432,50 @@ func runShardPool(ctx context.Context, shards []shard, terminals hypergraph.Labe
 		return nil, cancelErr
 	}
 	return results, nil
+}
+
+// shardOptions returns the options every shard run uses.
+//
+// Pruning runs per shard too: a shard rule's con(A) is final when its
+// shard finishes, because later stages only ever move NT edges (start
+// graph -> new rule RHS), never duplicate or drop them. The merged
+// stage then prunes only its own cross-shard rules, keeping the inline
+// cost on the parallel side.
+//
+// Shard stages downgrade the FP order to its single-round FP0
+// refinement: the fixpoint's payoff is distinguishing structure at
+// long range, which barely exists inside a small shard, while its cost
+// (a full refinement sweep per digram round) dominates shard time. The
+// merged stage keeps the full fixpoint, so cross-shard ordering still
+// sees it. Like everything else here this choice is independent of the
+// worker count.
+func shardOptions(opts Options) Options {
+	opts.Workers = 0
+	if opts.Order == order.FP {
+		opts.Order = order.FP0
+	}
+	return opts
+}
+
+// poolTableBounds returns the largest shard's edge capacity and
+// per-node table length, the bounds a pool worker's compressor is
+// reserved at (allocCompressor). carveShards reserved every shard
+// graph at its run's bound, so the largest edge capacity bounds every
+// shard's edge IDs. Read before the pool starts: shard runs grow their
+// graphs.
+func poolTableBounds(shards []shard) (edgeCap, nodeSlots int) {
+	for i := range shards {
+		edgeCap = max(edgeCap, shards[i].g.EdgeCap())
+		nodeSlots = max(nodeSlots, int(shards[i].g.MaxNodeID())+1)
+	}
+	return edgeCap, nodeSlots
+}
+
+// runShard resets c onto shard sh and compresses it.
+func (c *compressor) runShard(ctx context.Context, sh shard, terminals hypergraph.Label, sopts Options) (*Result, error) {
+	c.resetOn(sh.g, grammar.New(terminals, nil), sopts, sh.comps)
+	c.ctx = ctx
+	return c.run()
 }
 
 // mergeShardResults concatenates the shard grammars into one and runs

@@ -361,10 +361,11 @@ func (g *Graph) IncidentSeqRO(v NodeID) iter.Seq[EdgeID] {
 // AppendNeighbors appends the distinct nodes sharing an edge with v
 // (any rank, any direction, excluding v), ascending, to dst and
 // returns it — the allocation-free form of Neighbors for callers that
-// reuse a buffer across nodes.
+// reuse a buffer across nodes. It only reads the graph (IncidentSeqRO),
+// so a BFS or DFS order of a shared input writes nothing to it.
 func (g *Graph) AppendNeighbors(dst []NodeID, v NodeID) []NodeID {
 	base := len(dst)
-	for id := range g.IncidentSeq(v) {
+	for id := range g.IncidentSeqRO(v) {
 		for _, u := range g.Att(id) {
 			if u != v {
 				dst = append(dst, u)

@@ -1,6 +1,7 @@
 package order
 
 import (
+	"slices"
 	"testing"
 
 	"graphrepair/internal/hypergraph"
@@ -15,6 +16,12 @@ func fuzzGraph(data []byte) *hypergraph.Graph {
 	if len(data) > 0 {
 		n = 2 + int(data[0]%32)
 	}
+	return fuzzGraphN(n, data)
+}
+
+// fuzzGraphN is fuzzGraph with the node count given; data[0] is
+// skipped all the same.
+func fuzzGraphN(n int, data []byte) *hypergraph.Graph {
 	g := hypergraph.New(n)
 	for i := 1; i+2 < len(data); i += 3 {
 		u := hypergraph.NodeID(1 + int(data[i])%n)
@@ -51,7 +58,7 @@ func checkPermutation(t *testing.T, g *hypergraph.Graph, k Kind, r *Result) {
 	}
 }
 
-// sameOrder asserts two results are identical.
+// sameOrder asserts two results are identical: Seq, Pos and Classes.
 func sameOrder(t *testing.T, k Kind, what string, a, b *Result) {
 	t.Helper()
 	if len(a.Seq) != len(b.Seq) || a.Classes != b.Classes {
@@ -62,6 +69,9 @@ func sameOrder(t *testing.T, k Kind, what string, a, b *Result) {
 		if a.Seq[i] != b.Seq[i] {
 			t.Fatalf("%s: %s: Seq[%d] = %d vs %d", k, what, i, a.Seq[i], b.Seq[i])
 		}
+	}
+	if !slices.Equal(a.Pos, b.Pos) {
+		t.Fatalf("%s: %s: Pos differs (%d vs %d entries)", k, what, len(a.Pos), len(b.Pos))
 	}
 }
 
@@ -110,6 +120,19 @@ func FuzzOrder(f *testing.F) {
 				fresh := Compute(g, k, seed)
 				checkPermutation(t, g, k, fresh)
 				sameOrder(t, k, "incremental vs scratch", fresh, warm.Compute(g, k, seed))
+			}
+		}
+
+		// Reset replay: the warm Refiner moves on to unrelated graphs,
+		// one smaller and one larger, as a sharded compression's pool
+		// compressor does between shards.
+		n := g.NumNodes()
+		rev := slices.Clone(data)
+		slices.Reverse(rev)
+		for _, h := range []*hypergraph.Graph{fuzzGraphN(2+n/2, rev), fuzzGraphN(n+40, data)} {
+			warm.Reset()
+			for _, k := range ExtendedKinds {
+				sameOrder(t, k, "reset vs scratch", Compute(h, k, seed), warm.Compute(h, k, seed))
 			}
 		}
 	})

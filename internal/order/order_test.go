@@ -275,3 +275,41 @@ func TestShingleGroupsSimilarNeighborhoods(t *testing.T) {
 		t.Fatalf("leaf groups interleaved (%d switches): %v", switches, r.Seq)
 	}
 }
+
+// TestRefinerResetMatchesFresh replays a sharded compression's pool
+// compressor, which keeps one Refiner across unrelated shard graphs:
+// warmed on one graph, then Reset and used on a smaller and then a
+// larger unrelated graph, the Refiner returns the same Seq, Pos and
+// Classes as a fresh one, for every Kind. The smaller graph's node IDs
+// all occur in the warm order, so without the reset its refinement
+// would be seeded from another graph's order.
+func TestRefinerResetMatchesFresh(t *testing.T) {
+	randomGraph := func(seed int64, n, m int) *hypergraph.Graph {
+		rng := rand.New(rand.NewSource(seed))
+		g := hypergraph.New(n)
+		for i := 0; i < m; i++ {
+			u := hypergraph.NodeID(1 + rng.Intn(n))
+			v := hypergraph.NodeID(1 + rng.Intn(n))
+			if u != v {
+				g.AddEdge(hypergraph.Label(1+rng.Intn(3)), u, v)
+			}
+		}
+		return g
+	}
+	warmG := randomGraph(1, 200, 600)
+	smaller := randomGraph(2, 40, 90)
+	larger := randomGraph(3, 400, 1000)
+	for _, k := range ExtendedKinds {
+		r := NewRefiner()
+		r.Compute(warmG, k, 5)
+		for _, h := range []struct {
+			name string
+			g    *hypergraph.Graph
+		}{{"smaller", smaller}, {"larger", larger}} {
+			r.Reset()
+			got := r.Compute(h.g, k, 5)
+			checkPermutation(t, h.g, k, got)
+			sameOrder(t, k, "reset on "+h.name+" graph", NewRefiner().Compute(h.g, k, 5), got)
+		}
+	}
+}

@@ -56,6 +56,14 @@ type Refiner struct {
 // first use.
 func NewRefiner() *Refiner { return &Refiner{} }
 
+// Reset forgets the previous order, keeping every buffer, so the next
+// Compute seeds its refinement from scratch. A Refiner moving on to an
+// unrelated graph calls it: node IDs of the old graph mean nothing in
+// the new one. The result would be the same without it (any seed
+// gives the same order), but the reset keeps a stale order from
+// steering the sort.
+func (r *Refiner) Reset() { r.res.Seq = r.res.Seq[:0] }
+
 // Compute returns the requested order of g's alive nodes. The seed is
 // used only by Random. The result aliases Refiner-owned storage; see
 // the type comment.

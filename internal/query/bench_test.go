@@ -64,11 +64,12 @@ func BenchmarkConcurrentQueries(b *testing.B) {
 // (most start edges nonterminal) and the dblp60-70 version graph
 // compressed on the sharded path (a deep grammar). Query pairs are
 // uniform over the derived nodes, as in perfbench's replay. Distance
-// also runs on the reachable and the unreachable pairs alone, which
-// separates the Dijkstra from the reachability check that answers an
-// unreachable pair, Matches runs a star automaton over every terminal
-// label on the uniform pairs, and Neighbors (Both) takes the first
-// node of each pair.
+// also runs on reachable pairs drawn explicitly (reachablePairs; almost
+// no uniform pair of the version graph is reachable) and on the
+// unreachable uniform pairs, which separates the Dijkstra from the
+// reachability check that answers an unreachable pair, Matches runs a
+// star automaton over every terminal label on the uniform pairs, and
+// Neighbors (Both) takes the first node of each pair.
 func BenchmarkPairQueries(b *testing.B) {
 	inputs := []struct {
 		name    string
@@ -92,19 +93,18 @@ func BenchmarkPairQueries(b *testing.B) {
 		}
 		rng := rand.New(rand.NewSource(13))
 		pairs := make([][2]int64, 1024)
-		var reachable, unreachable [][2]int64
+		var unreachable [][2]int64
 		for i := range pairs {
 			pairs[i] = [2]int64{1 + rng.Int63n(e.NumNodes()), 1 + rng.Int63n(e.NumNodes())}
 			ok, err := e.Reachable(pairs[i][0], pairs[i][1])
 			if err != nil {
 				b.Fatal(err)
 			}
-			if ok {
-				reachable = append(reachable, pairs[i])
-			} else {
+			if !ok {
 				unreachable = append(unreachable, pairs[i])
 			}
 		}
+		reachable := reachablePairs(b, e, rng, len(pairs))
 		star := e.NewRPQ(StarNFA(ls...))
 		// A served engine is built from a decoded grammar, whose start
 		// graph is rebuilt from matrices in a different edge order.
@@ -170,4 +170,48 @@ func BenchmarkPairQueries(b *testing.B) {
 			})
 		}
 	}
+}
+
+// reachablePairs draws up to n pairs (u, v), u ≠ v, where v is
+// reachable from u: u is uniform over the derived nodes and v uniform
+// over the first nodes (at most reachCap) of a BFS from u along
+// out-edges. Sources that reach nothing are rejected, and at most 8n
+// sources are tried. Setup fails if no pair is found, so no Distance
+// benchmark on reachable pairs is ever silently skipped.
+func reachablePairs(b *testing.B, e *Engine, rng *rand.Rand, n int) [][2]int64 {
+	b.Helper()
+	const reachCap = 256
+	var pairs [][2]int64
+	seen := make(map[int64]bool)
+	var queue []int64
+	for try := 0; try < 8*n && len(pairs) < n; try++ {
+		u := 1 + rng.Int63n(e.NumNodes())
+		clear(seen)
+		seen[u] = true
+		queue = append(queue[:0], u)
+		for head := 0; head < len(queue) && len(queue) < reachCap; head++ {
+			out, err := e.Neighbors(queue[head], Out)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, w := range out {
+				if !seen[w] {
+					seen[w] = true
+					queue = append(queue, w)
+				}
+			}
+		}
+		if len(queue) < 2 {
+			continue
+		}
+		v := queue[1+rng.Intn(min(len(queue), reachCap)-1)]
+		if ok, err := e.Reachable(u, v); err != nil || !ok {
+			b.Fatalf("BFS target %d not reachable from %d (err %v)", v, u, err)
+		}
+		pairs = append(pairs, [2]int64{u, v})
+	}
+	if len(pairs) == 0 {
+		b.Fatal("no reachable pair found")
+	}
+	return pairs
 }
