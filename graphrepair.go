@@ -28,10 +28,12 @@
 //	_, _ = back, ok
 //
 // The subpackages under internal implement the paper's substrates
-// (hypergraphs, SL-HR grammars, node orders, k²-trees, bit codes), the
-// baseline compressors it compares against, the synthetic analogs of
-// its datasets, and the benchmark harness reproducing every table and
-// figure of its evaluation (see DESIGN.md and EXPERIMENTS.md).
+// (hypergraphs, SL-HR grammars, the node orders of its Sec. III-B1,
+// k²-trees, bit codes), the baseline compressors it compares against,
+// the synthetic analogs of its datasets, and the benchmark harness
+// reproducing every table and figure of its evaluation: cmd/benchall
+// reruns them, and DESIGN.md records where this implementation
+// deviates from the paper.
 package graphrepair
 
 import (

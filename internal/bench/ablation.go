@@ -5,7 +5,6 @@ import (
 
 	"graphrepair/internal/core"
 	"graphrepair/internal/gen"
-	"graphrepair/internal/order"
 )
 
 // Ablation quantifies the design choices DESIGN.md §5 documents on
@@ -41,37 +40,6 @@ func Ablation(cfg Config) (*Table, error) {
 			opts := paperOpts()
 			v.mutate(&opts)
 			cfg.Progress("ablation %s %s", name, v.name)
-			bpe, err := GRePairBPE(d.Graph, d.Labels, opts)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, f2(bpe))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
-}
-
-// OrdersExtended compares the paper's node orders with the orders
-// this library adds (degree-descending and min-hash shingle), on the
-// graph families where ordering matters most — the "other node
-// orderings" direction of the paper's conclusion.
-func OrdersExtended(cfg Config) (*Table, error) {
-	t := &Table{
-		Title:  fmt.Sprintf("Extension: node orders incl. degdesc/shingle, bpe (scale 1/%d)", cfg.Scale),
-		Header: []string{"graph", "natural", "bfs", "dfs", "fp0", "fp", "random", "degdesc", "shingle"},
-	}
-	for _, name := range []string{"dblp60-70", "ttt", "ca-grqc", "rdf-types-ru"} {
-		d, err := load(cfg, name)
-		if err != nil {
-			return nil, err
-		}
-		row := []string{name}
-		for _, k := range order.ExtendedKinds {
-			opts := paperOpts()
-			opts.Order = k
-			opts.Seed = 42
-			cfg.Progress("orders-ext %s %s", name, k)
 			bpe, err := GRePairBPE(d.Graph, d.Labels, opts)
 			if err != nil {
 				return nil, err

@@ -2,8 +2,9 @@
 // figure of the evaluation section of "Compressing Graphs by
 // Grammars" (Sec. IV) plus a query-speedup experiment for Sec. V.
 // Each experiment returns a formatted Table whose rows mirror what the
-// paper reports; cmd/benchall prints them and EXPERIMENTS.md records
-// paper-vs-measured values.
+// paper reports, with the paper's findings attached as notes;
+// cmd/benchall prints them, and DESIGN.md §2 and §5 record where the
+// datasets and the algorithm deviate from the paper's.
 package bench
 
 import (

@@ -428,5 +428,4 @@ var Experiments = []struct {
 	{"queries", Queries},
 	{"ablation", Ablation},
 	{"ablation-circle", CircleAblation},
-	{"orders-ext", OrdersExtended},
 }

@@ -23,7 +23,6 @@ import (
 // algorithm change lands, never for a perf change).
 var goldenGrammars = map[string]string{
 	"ca-grqc/bfs":                   "a35a378b054d523d",
-	"ca-grqc/degdesc":               "eed95b598b232fb7",
 	"ca-grqc/dfs":                   "2f1e87f001a7d3d8",
 	"ca-grqc/fp":                    "64414f3bc9937453",
 	"ca-grqc/fp0":                   "6a785f709fef67cd",
@@ -31,9 +30,7 @@ var goldenGrammars = map[string]string{
 	"ca-grqc/maxRank8-noPrune":      "71e0eae173d75abd",
 	"ca-grqc/natural":               "2bca013eb077a265",
 	"ca-grqc/random":                "4ca8eaf695bf68fa",
-	"ca-grqc/shingle":               "1c6ad3b9dcfd15c9",
 	"chain64/bfs":                   "b8c04560bb1b5fa1",
-	"chain64/degdesc":               "b8c04560bb1b5fa1",
 	"chain64/dfs":                   "b8c04560bb1b5fa1",
 	"chain64/fp":                    "147bf5e18da26404",
 	"chain64/fp0":                   "b8c04560bb1b5fa1",
@@ -41,9 +38,7 @@ var goldenGrammars = map[string]string{
 	"chain64/maxRank8-noPrune":      "147bf5e18da26404",
 	"chain64/natural":               "b8c04560bb1b5fa1",
 	"chain64/random":                "5fbb62ad001bde0e",
-	"chain64/shingle":               "0624ba42b700c7dc",
 	"circles32/bfs":                 "85282e0fe7ad7078",
-	"circles32/degdesc":             "23214d0115a6b98a",
 	"circles32/dfs":                 "85282e0fe7ad7078",
 	"circles32/fp":                  "f82feefc5db76694",
 	"circles32/fp0":                 "23214d0115a6b98a",
@@ -51,9 +46,7 @@ var goldenGrammars = map[string]string{
 	"circles32/maxRank8-noPrune":    "783d2f707d716d55",
 	"circles32/natural":             "85282e0fe7ad7078",
 	"circles32/random":              "4c8f043e929ba940",
-	"circles32/shingle":             "64f002ee5c6e9802",
 	"dblp60-70/bfs":                 "9ac85bf73215363c",
-	"dblp60-70/degdesc":             "28c8082a0dec445a",
 	"dblp60-70/dfs":                 "9ac85bf73215363c",
 	"dblp60-70/fp":                  "4814d8ca39d991ec",
 	"dblp60-70/fp0":                 "d708354f7e7877cc",
@@ -61,9 +54,7 @@ var goldenGrammars = map[string]string{
 	"dblp60-70/maxRank8-noPrune":    "e5edf361dd250ca6",
 	"dblp60-70/natural":             "c7930f55add8689f",
 	"dblp60-70/random":              "4d5716370d723931",
-	"dblp60-70/shingle":             "7ebbf1f6737c4103",
 	"rdf-types-ru/bfs":              "32d543ee35aaa725",
-	"rdf-types-ru/degdesc":          "b69aed0293a25fa4",
 	"rdf-types-ru/dfs":              "32d543ee35aaa725",
 	"rdf-types-ru/fp":               "4bdf4a32b4223704",
 	"rdf-types-ru/fp0":              "433b512182c0cc83",
@@ -71,9 +62,7 @@ var goldenGrammars = map[string]string{
 	"rdf-types-ru/maxRank8-noPrune": "9a888ad18aac31c8",
 	"rdf-types-ru/natural":          "6f4795d73682e9cb",
 	"rdf-types-ru/random":           "9d61e203f370a203",
-	"rdf-types-ru/shingle":          "9b3997a88d933664",
 	"star128/bfs":                   "929feda2edd5fd05",
-	"star128/degdesc":               "929feda2edd5fd05",
 	"star128/dfs":                   "929feda2edd5fd05",
 	"star128/fp":                    "929feda2edd5fd05",
 	"star128/fp0":                   "929feda2edd5fd05",
@@ -81,7 +70,6 @@ var goldenGrammars = map[string]string{
 	"star128/maxRank8-noPrune":      "a899e2f65afed989",
 	"star128/natural":               "929feda2edd5fd05",
 	"star128/random":                "929feda2edd5fd05",
-	"star128/shingle":               "929feda2edd5fd05",
 }
 
 func goldenCorpora(t testing.TB) map[string]struct {
@@ -132,11 +120,10 @@ func encodeHash(t testing.TB, g *hypergraph.Graph, labels hypergraph.Label, opts
 
 // TestGoldenGrammars asserts the compressor produces byte-identical
 // encoded grammars to the pre-optimization path on fixed generator
-// corpora, across all order.Kinds (plus the extended orders) and a
-// MaxRank/prune sweep.
+// corpora, across order.AllKinds and a MaxRank/prune sweep.
 func TestGoldenGrammars(t *testing.T) {
 	corpora := goldenCorpora(t)
-	// Default options are covered by the ExtendedKinds sweep below;
+	// Default options are covered by the AllKinds sweep below;
 	// these variants add a MaxRank/prune spread on top.
 	variants := []struct {
 		tag  string
@@ -148,7 +135,7 @@ func TestGoldenGrammars(t *testing.T) {
 
 	got := map[string]string{}
 	for name, c := range corpora {
-		for _, k := range order.ExtendedKinds {
+		for _, k := range order.AllKinds {
 			opts := DefaultOptions()
 			opts.Order = k
 			opts.Seed = 42

@@ -32,7 +32,7 @@ func graphFromFuzz(data []byte) (*hypergraph.Graph, hypergraph.Label, Options, b
 	flags := data[4]
 	opts := Options{
 		MaxRank:           2 + int(data[2])%7,
-		Order:             order.ExtendedKinds[int(data[3])%len(order.ExtendedKinds)],
+		Order:             order.AllKinds[int(data[3])%len(order.AllKinds)],
 		Seed:              int64(data[4]),
 		ConnectComponents: flags&1 != 0,
 		SkipPrune:         flags&2 != 0,
@@ -90,8 +90,8 @@ func FuzzDifferential(f *testing.F) {
 		fuzzSeed(star, 1, 4, 1, 1),                  // hub pairing
 		fuzzSeed(gen.CircleCopies(6), 1, 4, 2, 1),   // repeated components
 		fuzzSeed(gen.CircleCopies(4), 1, 5, 6, 5),   // random order, single pass
-		fuzzSeed(chainGraph(20), 2, 6, 6, 1),        // degdesc order, maxRank 8
-		fuzzSeed(gen.CircleCopies(6), 1, 7, 0, 1),   // shingle order, maxRank 2
+		fuzzSeed(chainGraph(20), 2, 3, 6, 1),        // fp0 order, maxRank 8
+		fuzzSeed(gen.CircleCopies(6), 1, 1, 0, 1),   // bfs order, maxRank 2
 		fuzzSeed(chainGraph(12), 2, 2, 2, 6),        // dfs order, no prune, single pass, no virtual edges
 		{40, 2, 3, 4, 1, 0, 1, 0, 1, 2, 1, 2, 3, 0}, // raw noise
 	} {

@@ -54,16 +54,22 @@ func TestDeriveAllocs(t *testing.T) {
 
 // TestStatsMatchRuleDerivations pins the flat derived-count table
 // against materialization: across the catalog, every rule's
-// DerivedNodes and DerivedEdges in Stats equal the internal nodes and
-// the edges of the graph its right-hand side derives on its own, with
-// the rule's other references and the real start graph out of the
-// picture. Refs is checked against a plain count of labeled edges.
+// DerivedCounts entries equal the internal nodes and the edges of the
+// graph its right-hand side derives on its own, with the rule's other
+// references and the real start graph out of the picture. Reference
+// counts are checked against a plain count of labeled edges.
 func TestStatsMatchRuleDerivations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("derives every rule of every catalog grammar; skipped in -short")
 	}
 	for _, name := range gen.Names("") {
 		g := compressCatalog(t, name, 2048)
+		order, err := g.BottomUpOrder()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		nodes, edges := g.DerivedCounts(order)
+		ref := g.RefCounts()
 		// one holds g's rules under the same labels; its start graph
 		// is swapped for one edge of the rule under test.
 		one := grammar.New(g.Terminals, nil)
@@ -78,23 +84,24 @@ func TestStatsMatchRuleDerivations(t *testing.T) {
 			one.AddRule(g.Rule(l))
 			count(g.Rule(l))
 		}
-		for _, s := range g.Stats() {
-			if s.Refs != refs[s.Label] {
-				t.Fatalf("%s: rule %d: Refs = %d, want %d", name, s.Label, s.Refs, refs[s.Label])
+		for i, l := range g.Nonterminals() {
+			if int(ref[i]) != refs[l] {
+				t.Fatalf("%s: rule %d: ref = %d, want %d", name, l, ref[i], refs[l])
 			}
-			one.Start = hypergraph.New(s.Rank)
-			att := make([]hypergraph.NodeID, s.Rank)
-			for i := range att {
-				att[i] = hypergraph.NodeID(i + 1)
+			rank := g.RankOf(l)
+			one.Start = hypergraph.New(rank)
+			att := make([]hypergraph.NodeID, rank)
+			for j := range att {
+				att[j] = hypergraph.NodeID(j + 1)
 			}
-			one.Start.AddEdge(s.Label, att...)
+			one.Start.AddEdge(l, att...)
 			h, err := one.Derive(0)
 			if err != nil {
-				t.Fatalf("%s: rule %d: %v", name, s.Label, err)
+				t.Fatalf("%s: rule %d: %v", name, l, err)
 			}
-			if int64(h.NumNodes()-s.Rank) != s.DerivedNodes || int64(h.NumEdges()) != s.DerivedEdges {
-				t.Fatalf("%s: rule %d: Stats derives %d nodes, %d edges; deriving it gives %d, %d",
-					name, s.Label, s.DerivedNodes, s.DerivedEdges, h.NumNodes()-s.Rank, h.NumEdges())
+			if int64(h.NumNodes()-rank) != nodes[i] || int64(h.NumEdges()) != edges[i] {
+				t.Fatalf("%s: rule %d: DerivedCounts gives %d nodes, %d edges; deriving it gives %d, %d",
+					name, l, nodes[i], edges[i], h.NumNodes()-rank, h.NumEdges())
 			}
 		}
 	}

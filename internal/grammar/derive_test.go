@@ -55,12 +55,13 @@ func TestDeepChain(t *testing.T) {
 	if h := g.Height(); h != n {
 		t.Fatalf("Height = %d, want %d", h, n)
 	}
-	st := g.Stats()
-	if s := st[0]; s.Refs != 1 || s.DerivedNodes != n-1 || s.DerivedEdges != n {
-		t.Fatalf("Stats()[0] = %+v", s)
+	nodes, edges := mustDerivedCounts(t, g)
+	ref := g.RefCounts()
+	if ref[0] != 1 || nodes[0] != n-1 || edges[0] != n {
+		t.Fatalf("rule 0: ref %d, derives %d nodes, %d edges", ref[0], nodes[0], edges[0])
 	}
-	if s := st[n-1]; s.Refs != 1 || s.DerivedNodes != 0 || s.DerivedEdges != 1 {
-		t.Fatalf("Stats()[%d] = %+v", n-1, s)
+	if ref[n-1] != 1 || nodes[n-1] != 0 || edges[n-1] != 1 {
+		t.Fatalf("rule %d: ref %d, derives %d nodes, %d edges", n-1, ref[n-1], nodes[n-1], edges[n-1])
 	}
 	h, err := g.DeriveContext(context.Background(), govern.Limits{})
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math/rand"
 	"slices"
-	"strings"
 	"testing"
 
 	"graphrepair/internal/hypergraph"
@@ -366,8 +365,10 @@ func TestPrunePreservesDerivationProperty(t *testing.T) {
 
 func TestRefCounts(t *testing.T) {
 	g := figure1Grammar()
-	if ref := g.Stats()[0].Refs; ref != 3 {
-		t.Fatalf("ref(A) = %d, want 3", ref)
+	ref := make([]int32, g.NumRules())
+	g.countRefs(ref)
+	if ref[0] != 3 {
+		t.Fatalf("ref(A) = %d, want 3", ref[0])
 	}
 }
 
@@ -382,24 +383,18 @@ func TestSizeMeasures(t *testing.T) {
 	}
 }
 
+// TestStatsAndSummary pins the counts of Fig. 1's grammar: one rule
+// of rank 2 and its derived-count table (TestRefCounts pins ref(A)).
 func TestStatsAndSummary(t *testing.T) {
 	g := figure1Grammar()
-	stats := g.Stats()
-	if len(stats) != 1 {
-		t.Fatalf("stats for %d rules", len(stats))
+	if g.NumRules() != 1 || g.RankOf(g.Terminals+1) != 2 {
+		t.Fatalf("%d rules, rank(A) = %d; want 1 rule of rank 2", g.NumRules(), g.RankOf(g.Terminals+1))
 	}
-	s := stats[0]
-	if s.Rank != 2 || s.Refs != 3 || s.DerivedNodes != 1 || s.DerivedEdges != 2 {
-		t.Fatalf("stats = %+v", s)
-	}
-	if h := g.RankHistogram(); h[2] != 1 || len(h) != 1 {
-		t.Fatalf("rank histogram = %v", h)
-	}
-	sum := g.Summary()
-	for _, want := range []string{"1 rules", "rank 2 rules: 1", "derives: 7 nodes, 6 edges"} {
-		if !strings.Contains(sum, want) {
-			t.Fatalf("summary missing %q:\n%s", want, sum)
-		}
+	// One A-edge derives 1 internal node and 2 edges; val(G) has 7
+	// nodes and 6 edges (Fig. 1b).
+	nodes, edges := mustDerivedCounts(t, g)
+	if nodes[0] != 1 || edges[0] != 2 || nodes[1] != 7 || edges[1] != 6 {
+		t.Fatalf("derived counts: nodes %v, edges %v; want [1 7], [2 6]", nodes, edges)
 	}
 }
 

@@ -58,10 +58,11 @@ func (g *Graph) Triples() []Triple {
 }
 
 // OutNeighbors returns the distinct targets of rank-2 edges leaving v,
-// ascending. Hyperedges are ignored.
+// ascending. Hyperedges are ignored. Like InNeighbors, it only reads
+// the graph (IncidentSeqRO).
 func (g *Graph) OutNeighbors(v NodeID) []NodeID {
 	var out []NodeID
-	for id := range g.IncidentSeq(v) {
+	for id := range g.IncidentSeqRO(v) {
 		if att := g.Att(id); len(att) == 2 && att[0] == v {
 			out = append(out, att[1])
 		}
@@ -73,7 +74,7 @@ func (g *Graph) OutNeighbors(v NodeID) []NodeID {
 // ascending. Hyperedges are ignored.
 func (g *Graph) InNeighbors(v NodeID) []NodeID {
 	var out []NodeID
-	for id := range g.IncidentSeq(v) {
+	for id := range g.IncidentSeqRO(v) {
 		if att := g.Att(id); len(att) == 2 && att[1] == v {
 			out = append(out, att[0])
 		}
@@ -259,7 +260,9 @@ func (g *Graph) Reachable(src, dst NodeID) bool {
 // ReachableWith is Reachable with caller-owned scratch: zero
 // allocations once rs has warmed to the graph size. The queue is
 // consumed by an index cursor rather than re-slicing the head off, so
-// the backing array stays fully reusable.
+// the backing array stays fully reusable. The graph is only read
+// (IncidentSeqRO), so goroutines probing one unmutated graph, each
+// with its own scratch, do not race.
 func (g *Graph) ReachableWith(rs *ReachScratch, src, dst NodeID) bool {
 	if !g.HasNode(src) || !g.HasNode(dst) {
 		return false
@@ -272,7 +275,7 @@ func (g *Graph) ReachableWith(rs *ReachScratch, src, dst NodeID) bool {
 	rs.visited[src] = true
 	for head := 0; head < len(rs.queue); head++ {
 		u := rs.queue[head]
-		for id := range g.IncidentSeq(u) {
+		for id := range g.IncidentSeqRO(u) {
 			if att := g.Att(id); len(att) == 2 && att[0] == u && !rs.visited[att[1]] {
 				if att[1] == dst {
 					return true

@@ -226,59 +226,6 @@ func (t *Tree) colRec(size, pos, c, rowOff int, out *[]int) {
 	}
 }
 
-// Range returns all set cells with r1 <= row <= r2 and c1 <= col <= c2,
-// sorted by (row, column) — the range-query "extended functionality"
-// of Brisaboa et al., answered without touching pruned subtrees.
-func (t *Tree) Range(r1, r2, c1, c2 int) []Point {
-	if r1 < 0 {
-		r1 = 0
-	}
-	if c1 < 0 {
-		c1 = 0
-	}
-	if r2 >= t.Rows {
-		r2 = t.Rows - 1
-	}
-	if c2 >= t.Cols {
-		c2 = t.Cols - 1
-	}
-	var out []Point
-	if r1 > r2 || c1 > c2 {
-		return out
-	}
-	t.rangeRec(t.Size/t.K, 0, 0, 0, r1, r2, c1, c2, &out)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].R != out[j].R {
-			return out[i].R < out[j].R
-		}
-		return out[i].C < out[j].C
-	})
-	return out
-}
-
-func (t *Tree) rangeRec(size, pos, rowOff, colOff, r1, r2, c1, c2 int, out *[]Point) {
-	for q := 0; q < t.kk; q++ {
-		idx := pos + q
-		if !t.bit(idx) {
-			continue
-		}
-		r := rowOff + q/t.K*size
-		c := colOff + q%t.K*size
-		// Skip subtrees disjoint from the query rectangle.
-		if r > r2 || r+size-1 < r1 || c > c2 || c+size-1 < c1 {
-			continue
-		}
-		if size == 1 {
-			*out = append(*out, Point{r, c})
-			continue
-		}
-		if !t.canDescend(idx) {
-			continue
-		}
-		t.rangeRec(size/t.K, t.childBase(idx), r, c, r1, r2, c1, c2, out)
-	}
-}
-
 // Points returns all set cells, sorted by (row, column).
 func (t *Tree) Points() []Point {
 	var out []Point

@@ -206,63 +206,3 @@ func TestSparseCompressesWellDenseDoesNot(t *testing.T) {
 		t.Fatalf("single point took %d bits", sparse.BitLen())
 	}
 }
-
-func TestRangeAgainstBruteForceProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		rows := 1 + rng.Intn(40)
-		cols := 1 + rng.Intn(40)
-		m := map[Point]bool{}
-		var pts []Point
-		for i := 0; i < rng.Intn(150); i++ {
-			p := Point{rng.Intn(rows), rng.Intn(cols)}
-			pts = append(pts, p)
-			m[p] = true
-		}
-		tr := Build(rows, cols, pts, 2)
-		for q := 0; q < 10; q++ {
-			r1, r2 := rng.Intn(rows), rng.Intn(rows)
-			c1, c2 := rng.Intn(cols), rng.Intn(cols)
-			if r1 > r2 {
-				r1, r2 = r2, r1
-			}
-			if c1 > c2 {
-				c1, c2 = c2, c1
-			}
-			var want []Point
-			for r := r1; r <= r2; r++ {
-				for c := c1; c <= c2; c++ {
-					if m[Point{r, c}] {
-						want = append(want, Point{r, c})
-					}
-				}
-			}
-			got := tr.Range(r1, r2, c1, c2)
-			if len(got) != len(want) {
-				return false
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRangeClampsAndEmpty(t *testing.T) {
-	tr := Build(8, 8, []Point{{0, 0}, {7, 7}}, 2)
-	if got := tr.Range(-5, 100, -5, 100); len(got) != 2 {
-		t.Fatalf("clamped full range = %v", got)
-	}
-	if got := tr.Range(3, 2, 0, 7); len(got) != 0 {
-		t.Fatalf("inverted range = %v", got)
-	}
-	if got := tr.Range(1, 6, 1, 6); len(got) != 0 {
-		t.Fatalf("empty interior = %v", got)
-	}
-}

@@ -24,13 +24,11 @@ func allocTestGraph() *hypergraph.Graph {
 // allocations: once its arenas are warm, recomputing any
 // deterministic order — the FP fixpoint above all, which runs once
 // per compression stage — must not allocate. Random is excluded (its
-// seeded rand.Rand is allocated per call by design), and DegreeDesc
-// is excluded (sort.SliceStable is reflection-based; it is not on the
-// compressor's default path).
+// seeded rand.Rand is allocated per call by design).
 func TestRefinerAllocationBudgets(t *testing.T) {
 	g := allocTestGraph()
 	r := NewRefiner()
-	for _, k := range []Kind{Natural, BFS, DFS, FP0, FP, Shingle} {
+	for _, k := range []Kind{Natural, BFS, DFS, FP0, FP} {
 		// Two warm-up rounds: the first grows the buffers, the second
 		// verifies against the high-water mark the first established.
 		r.Compute(g, k, 0)

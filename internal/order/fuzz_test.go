@@ -90,7 +90,7 @@ func FuzzOrder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, data []byte) {
 		g := fuzzGraph(data)
 		warm := NewRefiner()
-		for _, k := range ExtendedKinds {
+		for _, k := range AllKinds {
 			r1 := Compute(g, k, seed)
 			checkPermutation(t, g, k, r1)
 			sameOrder(t, k, "determinism", r1, Compute(g, k, seed))
@@ -116,7 +116,7 @@ func FuzzOrder(f *testing.F) {
 			}
 		}
 		if removed > 0 || g.NumNodes() > 0 {
-			for _, k := range ExtendedKinds {
+			for _, k := range AllKinds {
 				fresh := Compute(g, k, seed)
 				checkPermutation(t, g, k, fresh)
 				sameOrder(t, k, "incremental vs scratch", fresh, warm.Compute(g, k, seed))
@@ -131,7 +131,7 @@ func FuzzOrder(f *testing.F) {
 		slices.Reverse(rev)
 		for _, h := range []*hypergraph.Graph{fuzzGraphN(2+n/2, rev), fuzzGraphN(n+40, data)} {
 			warm.Reset()
-			for _, k := range ExtendedKinds {
+			for _, k := range AllKinds {
 				sameOrder(t, k, "reset vs scratch", Compute(h, k, seed), warm.Compute(h, k, seed))
 			}
 		}

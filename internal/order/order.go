@@ -8,7 +8,8 @@
 // degrees and iteratively refines node colors by the sorted colors of
 // their neighborhoods until a fixpoint is reached. FP also yields the
 // equivalence relation ≅FP whose class count the paper correlates with
-// compression ratio (Fig. 11).
+// compression ratio (Fig. 11). Kinds lists the five orders Fig. 10
+// compares; AllKinds adds DFS.
 //
 // Computation lives in the Refiner, whose buffers persist across
 // calls; the compressor holds one Refiner per run so per-stage
@@ -33,16 +34,6 @@ const (
 	Random
 	FP0
 	FP
-	// Extensions beyond the paper (its conclusion names better node
-	// orderings as future work):
-
-	// DegreeDesc visits hubs first — replacements around high-degree
-	// nodes happen before their edges are consumed elsewhere.
-	DegreeDesc
-	// Shingle orders nodes by a min-hash fingerprint of their
-	// neighborhood, grouping nodes with similar adjacency (the
-	// clustering idea of Buehrer & Chellapilla applied to ordering).
-	Shingle
 )
 
 // String returns the name used in the paper's figures.
@@ -60,10 +51,6 @@ func (k Kind) String() string {
 		return "fp0"
 	case FP:
 		return "fp"
-	case DegreeDesc:
-		return "degdesc"
-	case Shingle:
-		return "shingle"
 	default:
 		return fmt.Sprintf("order.Kind(%d)", int(k))
 	}
@@ -72,9 +59,8 @@ func (k Kind) String() string {
 // Kinds lists the paper's orders, in the order its Fig. 10 reports.
 var Kinds = []Kind{Natural, BFS, FP0, FP, Random}
 
-// ExtendedKinds additionally includes the orders this library adds
-// beyond the paper.
-var ExtendedKinds = []Kind{Natural, BFS, DFS, FP0, FP, Random, DegreeDesc, Shingle}
+// AllKinds lists every implemented order: Fig. 10's five plus DFS.
+var AllKinds = []Kind{Natural, BFS, DFS, FP0, FP, Random}
 
 // Result is a computed node order.
 type Result struct {
@@ -88,9 +74,6 @@ type Result struct {
 	// order the number of nodes (the order is then total).
 	Classes int
 }
-
-// Less reports whether u precedes v in the order.
-func (r *Result) Less(u, v hypergraph.NodeID) bool { return r.Pos[u] < r.Pos[v] }
 
 // Compute returns the requested order of g's alive nodes. The seed is
 // used only by Random. It is the one-shot form of Refiner.Compute;

@@ -213,7 +213,7 @@ func TestExtendedOrdersArePermutations(t *testing.T) {
 			g.AddEdge(hypergraph.Label(1+rng.Intn(2)), u, v)
 		}
 	}
-	for _, k := range ExtendedKinds {
+	for _, k := range AllKinds {
 		r := Compute(g, k, 1)
 		if len(r.Seq) != g.NumNodes() {
 			t.Fatalf("%s: wrong length", k)
@@ -225,54 +225,6 @@ func TestExtendedOrdersArePermutations(t *testing.T) {
 			}
 			seen[v] = true
 		}
-	}
-}
-
-func TestDegreeDescHubFirst(t *testing.T) {
-	g := hypergraph.New(5)
-	g.AddEdge(1, 1, 5)
-	g.AddEdge(1, 2, 5)
-	g.AddEdge(1, 3, 5)
-	g.AddEdge(1, 4, 5)
-	r := Compute(g, DegreeDesc, 0)
-	if r.Seq[0] != 5 {
-		t.Fatalf("hub not first: %v", r.Seq)
-	}
-}
-
-func TestShingleGroupsSimilarNeighborhoods(t *testing.T) {
-	// Two groups of nodes pointing at two different hubs: the shingle
-	// order must not interleave them.
-	g := hypergraph.New(22)
-	for i := 1; i <= 10; i++ {
-		g.AddEdge(1, hypergraph.NodeID(i), 21)
-	}
-	for i := 11; i <= 20; i++ {
-		g.AddEdge(1, hypergraph.NodeID(i), 22)
-	}
-	r := Compute(g, Shingle, 0)
-	// Find positions of leaf groups; each group must be contiguous.
-	group := func(v hypergraph.NodeID) int {
-		if v <= 10 {
-			return 0
-		}
-		if v <= 20 {
-			return 1
-		}
-		return 2
-	}
-	switches := 0
-	prev := -1
-	for _, v := range r.Seq {
-		if g := group(v); g != 2 {
-			if g != prev {
-				switches++
-				prev = g
-			}
-		}
-	}
-	if switches > 2 {
-		t.Fatalf("leaf groups interleaved (%d switches): %v", switches, r.Seq)
 	}
 }
 
@@ -299,7 +251,7 @@ func TestRefinerResetMatchesFresh(t *testing.T) {
 	warmG := randomGraph(1, 200, 600)
 	smaller := randomGraph(2, 40, 90)
 	larger := randomGraph(3, 400, 1000)
-	for _, k := range ExtendedKinds {
+	for _, k := range AllKinds {
 		r := NewRefiner()
 		r.Compute(warmG, k, 5)
 		for _, h := range []struct {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"graphrepair/internal/buf"
 	"graphrepair/internal/hypergraph"
@@ -47,9 +46,6 @@ type Refiner struct {
 	visited []bool
 	nbs     []hypergraph.NodeID
 	work    []hypergraph.NodeID
-
-	// Shingle scratch.
-	fps []shingleFP
 }
 
 // NewRefiner returns an empty Refiner. Buffers are grown lazily on
@@ -88,16 +84,6 @@ func (r *Refiner) Compute(g *hypergraph.Graph, kind Kind, seed int64) *Result {
 		r.refine(g, 1)
 	case FP:
 		r.refine(g, -1)
-	case DegreeDesc:
-		seq := g.AppendNodes(r.res.Seq[:0])
-		sort.SliceStable(seq, func(i, j int) bool {
-			return g.Degree(seq[i]) > g.Degree(seq[j])
-		})
-		r.res.Seq = seq
-		r.finishTotal(g)
-	case Shingle:
-		r.shingle(g)
-		r.finishTotal(g)
 	default:
 		panic(fmt.Sprintf("order: unknown kind %d", int(kind)))
 	}
@@ -345,67 +331,6 @@ func (r *Refiner) countClasses(nodes []hypergraph.NodeID, color []int64) int {
 		}
 	}
 	return c
-}
-
-// shingleFP is one node's min-hash fingerprint.
-type shingleFP struct {
-	v   hypergraph.NodeID
-	min uint64
-	deg int
-}
-
-// shingle sorts nodes into res.Seq by a min-hash fingerprint of their
-// labeled neighborhood: nodes with similar adjacency sort near each
-// other, so the greedy digram counting sees repeated local structure
-// in runs.
-func (r *Refiner) shingle(g *hypergraph.Graph) {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	hash := func(x uint64) uint64 {
-		h := uint64(offset64)
-		for i := 0; i < 8; i++ {
-			h = (h ^ (x & 0xFF)) * prime64
-			x >>= 8
-		}
-		return h
-	}
-	r.nodes = g.AppendNodes(r.nodes[:0])
-	fps := r.fps[:0]
-	for _, v := range r.nodes {
-		best := ^uint64(0)
-		for id := range g.IncidentSeq(v) {
-			for _, u := range g.Att(id) {
-				if u == v {
-					continue
-				}
-				h := hash(uint64(uint32(u))<<32 | uint64(uint32(g.Label(id))))
-				if h < best {
-					best = h
-				}
-			}
-		}
-		fps = append(fps, shingleFP{v: v, min: best, deg: g.Degree(v)})
-	}
-	slices.SortFunc(fps, func(a, b shingleFP) int {
-		if a.min != b.min {
-			if a.min < b.min {
-				return -1
-			}
-			return 1
-		}
-		if a.deg != b.deg {
-			return a.deg - b.deg
-		}
-		return int(a.v - b.v)
-	})
-	r.fps = fps
-	seq := r.res.Seq[:0]
-	for _, f := range fps {
-		seq = append(seq, f.v)
-	}
-	r.res.Seq = seq
 }
 
 // compareSig orders signatures lexicographically, shorter-is-smaller
