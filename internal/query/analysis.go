@@ -42,23 +42,15 @@ func fold[T any](e *Engine, tk *ticker, op string, step func(h *hypergraph.Graph
 // node u in val(G), evaluated on the grammar (Thm. 6) against S′, the
 // start graph with every nonterminal edge replaced by its skeleton
 // arcs, whose condensation the engine builds at compile time. Two
-// start nodes are answered by a DFS over that condensation. Otherwise
-// the right-hand sides along both G-representations are glued into a
-// "path-expanded" graph (skeletons standing in for unexpanded
-// subtrees, right-hand sides shared along the common prefix) whose
-// start-graph block carries no edges of its own: instead, a closure
-// arc a→b joins every a in K(u) and b in K(v) that S′ connects, where
-// K(x) is {x} for a start node x and otherwise the attachment of the
-// top-level edge x derives from. A single BFS then answers the query
-// (product.go). A path that leaves u's subtree and re-enters it is a
-// closure arc too, so this also covers both nodes lying in the same
-// derivation subtree.
+// start nodes are answered by a DFS over that condensation. Any other
+// pair gets the two-way search Distance runs (pathDist), and reachable
+// means a finite distance.
 func (e *Engine) Reachable(u, v int64) (bool, error) {
 	return e.ReachableContext(context.Background(), u, v)
 }
 
 // ReachableContext is Reachable with cooperative cancellation: ctx is
-// polled at condensation DFS steps and BFS frontier expansions, so a
+// polled at condensation DFS steps and Dijkstra extractions, so a
 // per-query deadline bounds even adversarial grammars whose path
 // expansions are large.
 func (e *Engine) ReachableContext(ctx context.Context, u, v int64) (bool, error) {
@@ -74,65 +66,60 @@ func (e *Engine) ReachableContext(ctx context.Context, u, v int64) (bool, error)
 
 // reach is Reachable for u ≠ v, on a scratch the caller holds.
 func (e *Engine) reach(s *scratch, tk *ticker, op string, u, v int64) (bool, error) {
-	if 1 <= u && u <= e.m && 1 <= v && v <= e.m {
-		cu, cv := e.scc[u], e.scc[v]
-		if cu == cv {
-			return true, nil
-		}
-		if cv > cu { // condensed arcs only run to lower indexes
-			return false, nil
-		}
-		err := e.sccReach(s, tk, op, cu, cv)
-		return err == nil && s.seen[cv] == s.stamp, err
+	if !e.startPair(u, v) {
+		d, err := e.pathDist(s, tk, op, u, v)
+		return err == nil && d < maxDist, err
 	}
-	src, dst, err := e.expand(s, &anyLabel, e.skel, u, v)
-	if err != nil {
-		return false, err
+	cu, cv := e.scc[u], e.scc[v]
+	if cu == cv {
+		return true, nil
 	}
-	var ku, kv [1]hypergraph.NodeID
-	from, to := e.closureEnds(&s.loc1, &ku), e.closureEnds(&s.loc2, &kv)
-	lo, _ := e.sccRange(to)
-	for _, a := range from {
-		if e.scc[a] < lo {
-			continue // every SCC of K(v) lies above a's
-		}
-		if err := e.sccReach(s, tk, op, e.scc[a], lo); err != nil {
-			return false, err
-		}
-		for _, b := range to {
-			// anyLabel has one state, so product nodes are IDs.
-			if a != b && s.seen[e.scc[b]] == s.stamp {
-				s.pg.fwd.add(int32(a), int32(b), 1)
-			}
-		}
+	if cv > cu { // condensed arcs only run to lower indexes
+		return false, nil
 	}
-	// A skeleton arc's length does not matter here, only that it is
-	// finite.
-	return s.pg.bfs(tk, op, src, dst, anyLabel.accept)
+	err := e.sccReach(s, tk, op, cu, cv)
+	return err == nil && s.seen[cv] == s.stamp, err
 }
 
-// sccRange returns the lowest and the highest SCC index of the start
-// nodes ends. A path into a derivation subtree enters through the
-// attachment of its top-level edge, and a path out of one leaves
-// through it; condensed arcs run only to lower indexes, so no start
-// node of an SCC below K(v)'s lowest reaches v, and none above K(u)'s
-// highest is reached from u.
-func (e *Engine) sccRange(ends []hypergraph.NodeID) (lo, hi int32) {
+// startPair reports whether u and v are both start nodes.
+func (e *Engine) startPair(u, v int64) bool {
+	return 1 <= u && u <= e.m && 1 <= v && v <= e.m
+}
+
+// pathDist is the length of a shortest u→v path, or maxDist if there
+// is none, for u ≠ v on a scratch the caller holds. It lays out the
+// path-expanded graph of the two G-representations (expand) and runs
+// the two-way Dijkstra over it and S′, read in place; start nodes the
+// condensation rules out are not expanded. It leaves the scratch's
+// product clear.
+func (e *Engine) pathDist(s *scratch, tk *ticker, op string, u, v int64) (int64, error) {
+	src, dst, err := e.expand(s, &anyLabel, e.skel, u, v)
+	if err != nil {
+		return 0, err
+	}
+	lo, _ := e.sccRange(&s.loc2)
+	_, hi := e.sccRange(&s.loc1)
+	w := newStartWalk(e, &anyLabel, e.skel, lo, hi)
+	d, err := s.pg.twoWay(tk, op, src, dst, &w)
+	s.pg.clear()
+	return d, err
+}
+
+// sccRange returns the lowest and the highest SCC index of K(x) for
+// the node x loc locates: the start nodes every path into or out of x
+// passes, which are the attachment of x's top-level edge, or x itself.
+// Condensed arcs run only to lower indexes, so no start node of an SCC
+// below K(v)'s lowest reaches v, and none above K(u)'s highest is
+// reached from u.
+func (e *Engine) sccRange(loc *Location) (lo, hi int32) {
+	if len(loc.Path) == 0 {
+		return e.scc[loc.Node], e.scc[loc.Node]
+	}
 	lo, hi = math.MaxInt32, 0
-	for _, b := range ends {
+	for _, b := range e.g.Start.Att(loc.Path[0]) {
 		lo, hi = min(lo, e.scc[b]), max(hi, e.scc[b])
 	}
 	return lo, hi
-}
-
-// closureEnds returns K(x) for the node loc locates: the attachment of
-// its top-level edge, or the start node itself, held in one.
-func (e *Engine) closureEnds(loc *Location, one *[1]hypergraph.NodeID) []hypergraph.NodeID {
-	if len(loc.Path) > 0 {
-		return e.g.Start.Att(loc.Path[0])
-	}
-	one[0] = loc.Node
-	return one[:]
 }
 
 // sccReach runs a DFS over the condensation of S′ from SCC from and

@@ -63,13 +63,13 @@ func BenchmarkConcurrentQueries(b *testing.B) {
 // perfbench workload: a coauthorship graph at a quarter of ca-grqc
 // (most start edges nonterminal) and the dblp60-70 version graph
 // compressed on the sharded path (a deep grammar). Query pairs are
-// uniform over the derived nodes, as in perfbench's replay. Distance
-// also runs on reachable pairs drawn explicitly (reachablePairs; almost
-// no uniform pair of the version graph is reachable) and on the
-// unreachable uniform pairs, which separates the Dijkstra from the
-// reachability check that answers an unreachable pair, Matches runs a
-// star automaton over every terminal label on the uniform pairs, and
-// Neighbors (Both) takes the first node of each pair.
+// uniform over the derived nodes, as in perfbench's replay. Reachable
+// and Distance also run on reachable pairs drawn explicitly
+// (reachablePairs; almost no uniform pair of the version graph is
+// reachable) and on the unreachable uniform pairs, so the search on a
+// reachable pair is timed apart from the unreachable answers, Matches
+// runs a star automaton over every terminal label on the uniform
+// pairs, and Neighbors (Both) takes the first node of each pair.
 func BenchmarkPairQueries(b *testing.B) {
 	inputs := []struct {
 		name    string
@@ -148,6 +148,8 @@ func BenchmarkPairQueries(b *testing.B) {
 			run   func(u, v int64) error
 		}{
 			{"Reachable", pairs, reach},
+			{"ReachableReachable", reachable, reach},
+			{"ReachableUnreachable", unreachable, reach},
 			{"Distance", pairs, dist},
 			{"DistanceReachable", reachable, dist},
 			{"DistanceUnreachable", unreachable, dist},

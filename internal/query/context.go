@@ -6,7 +6,7 @@ import (
 	"graphrepair/internal/govern"
 )
 
-// frontierCheckStride bounds how many frontier expansions (BFS pops,
+// frontierCheckStride bounds how many frontier expansions (DFS pops,
 // Dijkstra extractions, neighbor emissions) may pass between two
 // context polls. Query frontiers are tiny per step, so the stride is
 // larger than the derivation one to keep the checks invisible in

@@ -225,11 +225,11 @@ func allPairs(n int64) [][2]int64 {
 	return pairs
 }
 
-// TestClosureReenter pins the closure arcs Reachable adds between the
-// attachment nodes of one top-level edge: derived nodes 3 and 4 of
-// A(1, 2) are connected only through the start edge 1→2, outside A's
-// expansion, so a layout that drops the closure arcs when both nodes
-// derive from one top-level edge answers (3, 4) wrongly.
+// TestClosureReenter pins Reachable on a path that leaves a top-level
+// edge and re-enters it: derived nodes 3 and 4 of A(1, 2) are
+// connected only through the start edge 1→2, outside A's expansion,
+// so a search that skips S′ when both nodes derive from one top-level
+// edge answers (3, 4) wrongly.
 func TestClosureReenter(t *testing.T) {
 	g := reenterGrammar()
 	e, err := New(g)
@@ -367,10 +367,12 @@ func terminalReach(e *Engine, s *hypergraph.Graph, src hypergraph.NodeID) map[hy
 	return seen
 }
 
-// checkPairs compares Reachable and Distance on each pair with BFS on
-// the derived graph.
+// checkPairs checks that the pairs leave a held scratch clear
+// (checkScratchClean) and compares Reachable and Distance on each pair
+// with BFS on the derived graph.
 func checkPairs(t *testing.T, e *Engine, derived *hypergraph.Graph, pairs [][2]int64) {
 	t.Helper()
+	checkScratchClean(t, e, pairs)
 	var rs hypergraph.ReachScratch
 	for _, p := range pairs {
 		u, v := p[0], p[1]
@@ -387,6 +389,49 @@ func checkPairs(t *testing.T, e *Engine, derived *hypergraph.Graph, pairs [][2]i
 		}
 		if want := bruteDistance(derived, hypergraph.NodeID(u), hypergraph.NodeID(v)); d != want {
 			t.Fatalf("Distance(%d,%d) = %d, want %d", u, v, d, want)
+		}
+	}
+}
+
+// checkScratchClean runs reach and pathDist on each pair u ≠ v through
+// one held scratch and checks that every call leaves its product
+// clear: each head slot up to capacity is -1 and each dist slot
+// maxDist, in both directions. The next layout and search undo only
+// the entries they record, so a slot left set would corrupt a later
+// query on the same scratch.
+func checkScratchClean(t *testing.T, e *Engine, pairs [][2]int64) {
+	t.Helper()
+	s := e.getScratch()
+	defer e.putScratch(s)
+	var tk ticker
+	for _, p := range pairs {
+		if p[0] == p[1] {
+			continue
+		}
+		if _, err := e.reach(s, &tk, "test", p[0], p[1]); err != nil {
+			t.Fatal(err)
+		}
+		checkClear(t, &s.pg, "reach", p)
+		if _, err := e.pathDist(s, &tk, "test", p[0], p[1]); err != nil {
+			t.Fatal(err)
+		}
+		checkClear(t, &s.pg, "pathDist", p)
+	}
+}
+
+func checkClear(t *testing.T, g *product, call string, p [2]int64) {
+	t.Helper()
+	for i, s := range [2]*search{&g.fwd, &g.bwd} {
+		dir := [2]string{"forward", "backward"}[i]
+		for x, h := range s.head[:cap(s.head)] {
+			if h != -1 {
+				t.Fatalf("after %s(%d,%d): %s head[%d] = %d, want -1", call, p[0], p[1], dir, x, h)
+			}
+		}
+		for x, d := range s.dist[:cap(s.dist)] {
+			if d != maxDist {
+				t.Fatalf("after %s(%d,%d): %s dist[%d] = %d, want maxDist", call, p[0], p[1], dir, x, d)
+			}
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"graphrepair/internal/govern"
-	"graphrepair/internal/hypergraph"
 )
 
 // The engine's one skeleton is the paper's Thm.-6 skeleton in the
@@ -30,22 +29,22 @@ func addDist(a, b int64) int64 {
 }
 
 // Distance returns the length of a shortest directed path from derived
-// node u to derived node v in val(G), or Unreachable. It asks
-// Reachable first, so an unreachable pair costs what Reachable costs.
-// Otherwise a Dijkstra runs from both ends over the path-expanded
-// graph of the two G-representations (min-plus skeletons summarizing
-// unexpanded subtrees) and S′, which it reads in place from the start
-// graph as it settles start nodes; start nodes the condensation rules
-// out are not expanded. A shortest path too long to count below
-// 2^62-1 is reported as a *govern.LimitError (errors.Is(err,
+// node u to derived node v in val(G), or Unreachable. Two start nodes
+// that the condensation of S′ (Reachable) says are unreachable cost
+// only that check. Otherwise a Dijkstra runs from both ends over the
+// path-expanded graph of the two G-representations (min-plus skeletons
+// summarizing unexpanded subtrees) and S′, which it reads in place
+// from the start graph as it settles start nodes; start nodes the
+// condensation rules out are not expanded. Reachable answers every
+// other pair with this same search. A shortest path too long to count
+// below 2^62-1 is reported as a *govern.LimitError (errors.Is(err,
 // govern.ErrLimit)).
 func (e *Engine) Distance(u, v int64) (int64, error) {
 	return e.DistanceContext(context.Background(), u, v)
 }
 
 // DistanceContext is Distance with cooperative cancellation: ctx is
-// polled at the reachability check's steps and at Dijkstra
-// extractions.
+// polled at the condensation DFS's steps and at Dijkstra extractions.
 func (e *Engine) DistanceContext(ctx context.Context, u, v int64) (int64, error) {
 	const op = "query: distance"
 	if u == v {
@@ -54,18 +53,12 @@ func (e *Engine) DistanceContext(ctx context.Context, u, v int64) (int64, error)
 	s := e.getScratch()
 	defer e.putScratch(s)
 	tk := ticker{ctx: ctx}
-	if ok, err := e.reach(s, &tk, op, u, v); err != nil || !ok {
-		return Unreachable, err
+	if e.startPair(u, v) {
+		if ok, err := e.reach(s, &tk, op, u, v); err != nil || !ok {
+			return Unreachable, err
+		}
 	}
-	src, dst, err := e.expand(s, &anyLabel, e.skel, u, v)
-	if err != nil {
-		return 0, err
-	}
-	var ku, kv [1]hypergraph.NodeID
-	lo, _ := e.sccRange(e.closureEnds(&s.loc2, &kv))
-	_, hi := e.sccRange(e.closureEnds(&s.loc1, &ku))
-	w := newStartWalk(e, &anyLabel, e.skel, lo, hi)
-	result, err := s.pg.twoWay(&tk, op, src, dst, &w)
+	result, err := e.pathDist(s, &tk, op, u, v)
 	switch {
 	case err != nil:
 		return 0, err

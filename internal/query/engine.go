@@ -12,13 +12,13 @@
 //     condenses S′, the start graph with every nonterminal edge
 //     replaced by its skeleton arcs, at compile time. No query lays
 //     out the start graph. Reachable answers two start nodes by a DFS
-//     over the condensed DAG, and any other pair lays out only the
-//     right-hand sides along its two G-representations, joined by at
-//     most rank² S′-closure arcs between their top-level attachment
-//     nodes. Distance answers an unreachable pair that way and
-//     otherwise runs a two-way Dijkstra that reads S′ in place from
-//     the start graph, bounded by the condensation; RPQ Matches reads
-//     S′ in place in product with its automaton.
+//     over the condensed DAG. Every other pair, and two start nodes
+//     Distance finds connected, get one search: it lays out only
+//     the right-hand sides along the two G-representations and runs a
+//     two-way Dijkstra over them that reads S′ in place from the start
+//     graph, bounded by the condensation. RPQ Matches runs a one-way
+//     Dijkstra over the same layout and S′, in product with its
+//     automaton.
 //   - Speed-up queries evaluated in one pass over the ≤NT order:
 //     number of weakly connected components, minimum/maximum degree,
 //     node and edge counts, the label histogram.

@@ -31,10 +31,10 @@ var fuzzDeriveLimits = govern.Limits{MaxNodes: 4096, MaxEdges: 1 << 16}
 // exactly when Distance finds a path, and exactly when Matches does
 // under a star over every terminal label; and when val(G) is small
 // enough to derive, Reachable and Distance must equal BFS on it.
-// Distance takes its unreachable verdicts from Reachable's
-// condensation, so the first check mostly pins its lengths; Matches
-// asks no reachability question first and reads S′ itself, so the
-// star check still compares two independent implementations.
+// Reachable and Distance share one search for every pair that is not
+// two start nodes, so the first check pins that both read its answer
+// alike; Matches runs its own one-way Dijkstra with no condensation
+// bound, so the star check compares two independent implementations.
 func FuzzQuery(f *testing.F) {
 	chain := hypergraph.New(33)
 	for i := 1; i <= 32; i++ {

@@ -2,8 +2,8 @@ package query
 
 import (
 	"math"
+	"slices"
 
-	"graphrepair/internal/buf"
 	"graphrepair/internal/govern"
 	"graphrepair/internal/hypergraph"
 )
@@ -14,11 +14,10 @@ import (
 // as it is; an RPQ takes it with its NFA (the "regular path queries"
 // extension the paper's conclusion names). The same builder lays out
 // one right-hand side for the bottom-up skeleton pass and the glued
-// right-hand sides of a query, so there is one skeleton builder, one
-// BFS and one Dijkstra. A query never lays out the start graph's
-// edges: Reachable joins the path blocks with S′-closure arcs, and
-// Distance and Matches read S′ in place from the start graph as their
-// Dijkstra settles start nodes (startWalk).
+// right-hand sides of a query, so there is one skeleton builder and
+// one Dijkstra, run one way or from both ends. A query never lays out
+// the start graph's edges: its search reads S′ in place from the start
+// graph as it settles start nodes (startWalk).
 
 // automaton is the compiled form of an NFA the product search runs on:
 // dense per-(state, label) transition lists.
@@ -85,7 +84,6 @@ type product struct {
 	q      int32  // automaton states
 	fwd    search // the layout's arcs
 	bwd    search // the same arcs reversed, for a two-way search
-	queue  []int32
 	// meet is the shortest src→dst length a two-way search has seen
 	// so far, through a node both directions reached.
 	meet int64
@@ -93,11 +91,16 @@ type product struct {
 
 // search is one direction of a search over a product: the arcs it
 // follows, chained from head, and its tentative lengths and heap.
+// Between uses every head and dist entry up to capacity is unset (-1,
+// maxDist). heads and reached list the entries a layout and a search
+// set, so undoing them costs what they set, not the product's size.
 type search struct {
-	head []int32 // first arc out of each product node, -1 if none
-	arcs []arc
-	dist []int64 // per product node; maxDist = not reached
-	heap []heapItem
+	head    []int32 // first arc out of each product node, -1 if none
+	heads   []int32 // the product nodes whose head is set
+	arcs    []arc
+	dist    []int64 // per product node; maxDist = not reached
+	reached []int32 // the product nodes whose dist is set
+	heap    []heapItem
 }
 
 // block is one right-hand side laid out in a product: its graph, its
@@ -130,8 +133,10 @@ func (g *product) addBlock(h *hypergraph.Graph, parent int, id hypergraph.EdgeID
 		g.rep = g.rep[:0]
 	}
 	base := int32(len(g.rep))
-	for x := range int32(h.MaxNodeID()) + 1 {
-		g.rep = append(g.rep, base+x)
+	n := int(h.MaxNodeID()) + 1
+	g.rep = slices.Grow(g.rep, n)[:int(base)+n]
+	for i := range g.rep[base:] {
+		g.rep[base+int32(i)] = base + int32(i)
 	}
 	if parent >= 0 {
 		p := &g.blocks[parent]
@@ -166,8 +171,7 @@ func (g *product) build(e *Engine, a *automaton, skel [][]int64, from int) error
 	}
 	Q := int32(a.states)
 	g.q = Q
-	g.fwd.head = buf.GrowFill(g.fwd.head, int(n), -1)
-	g.fwd.arcs = g.fwd.arcs[:0]
+	g.fwd.size(int(n))
 	for _, b := range g.blocks[from:] {
 		for id := range b.h.EdgesSeq() {
 			if id == b.skip[0] || id == b.skip[1] {
@@ -199,53 +203,60 @@ func (g *product) build(e *Engine, a *automaton, skel [][]int64, from int) error
 	return nil
 }
 
+// size unsets what s set last and makes room for n product nodes.
+// Past capacity, head and dist are made anew, unset throughout.
+func (s *search) size(n int) {
+	s.clear()
+	if n > cap(s.head) {
+		c := max(n, 2*cap(s.head))
+		s.head = slices.Repeat([]int32{-1}, c)
+		s.dist = slices.Repeat([]int64{maxDist}, c)
+	}
+	s.head, s.dist = s.head[:n], s.dist[:n]
+}
+
 func (s *search) add(x, y int32, w int64) {
+	if s.head[x] < 0 {
+		s.heads = append(s.heads, x)
+	}
 	s.arcs = append(s.arcs, arc{to: y, next: s.head[x], w: w})
 	s.head[x] = int32(len(s.arcs) - 1)
+}
+
+// clear unsets every head and dist entry s set and drops its arcs.
+func (s *search) clear() {
+	for _, x := range s.heads {
+		s.head[x] = -1
+	}
+	s.heads, s.arcs = s.heads[:0], s.arcs[:0]
+	s.reset()
+}
+
+// reset marks every product node unreached and empties the heap.
+func (s *search) reset() {
+	for _, x := range s.reached {
+		s.dist[x] = maxDist
+	}
+	s.reached, s.heap = s.reached[:0], s.heap[:0]
+}
+
+// clear unsets everything the last layout and search set, in both
+// directions, so the scratch holding g is released clean.
+func (g *product) clear() {
+	g.fwd.clear()
+	g.bwd.clear()
 }
 
 // reverse lays out the backward search's arcs: every arc of the
 // layout, turned around.
 func (g *product) reverse() {
 	f, b := &g.fwd, &g.bwd
-	b.head = buf.GrowFill(b.head, len(f.head), -1)
-	b.arcs = b.arcs[:0]
-	for x, a := range f.head {
-		for ; a >= 0; a = f.arcs[a].next {
-			b.add(f.arcs[a].to, int32(x), f.arcs[a].w)
-		}
-	}
-}
-
-// reset marks every product node unreached and empties the heap.
-func (s *search) reset() {
-	s.dist = buf.GrowFill(s.dist, len(s.head), maxDist)
-	s.heap = s.heap[:0]
-}
-
-// bfs reports whether product node src reaches ID dst in a state
-// accept accepts. ctx is polled (through tk) at every expansion.
-func (g *product) bfs(tk *ticker, op string, src, dst int32, accept []bool) (bool, error) {
-	f := &g.fwd
-	f.reset()
-	f.dist[src] = 0
-	g.queue = append(g.queue[:0], src)
-	for i := 0; i < len(g.queue); i++ {
-		if err := tk.check(op); err != nil {
-			return false, err
-		}
-		x := g.queue[i]
-		if x/g.q == dst && accept[x%g.q] {
-			return true, nil
-		}
+	b.size(len(f.head))
+	for _, x := range f.heads {
 		for a := f.head[x]; a >= 0; a = f.arcs[a].next {
-			if y := f.arcs[a].to; f.dist[y] == maxDist {
-				f.dist[y] = f.dist[x] + 1
-				g.queue = append(g.queue, y)
-			}
+			b.add(f.arcs[a].to, x, f.arcs[a].w)
 		}
 	}
-	return false, nil
 }
 
 // dijkstra computes shortest-path lengths from product node src into
@@ -280,11 +291,13 @@ func (g *product) dijkstra(tk *ticker, op string, src, dst int32, accept []bool,
 // at once, over a one-state product: the forward search follows the
 // layout's arcs, the backward one their reverses (and S′'s, with a
 // non-nil w), and each step advances the direction with the smaller
-// heap. A node both directions reach joins a src→dst path, and the
-// search stops once the two heaps' minimum keys add up to at least the
-// shortest such path, which is then the answer (maxDist if there is
-// none). A direction that runs dry has reached all it can, so the
-// search stops then too.
+// heap. A node both directions reach joins a src→dst path. The search
+// stops once the two heaps' minimum keys plus 1 reach the shortest
+// such path, which is then the answer (maxDist if there is none):
+// every arc is at least 1 long, and a shorter path would have to run
+// from a node not yet settled forward, over at least one arc, to a
+// node not yet settled backward. A direction that runs dry has reached
+// all it can, so the search stops then too.
 func (g *product) twoWay(tk *ticker, op string, src, dst int32, w *startWalk) (int64, error) {
 	g.reverse()
 	f, b := &g.fwd, &g.bwd
@@ -293,7 +306,7 @@ func (g *product) twoWay(tk *ticker, op string, src, dst int32, w *startWalk) (i
 	g.meet = maxDist
 	g.relax(f, nil, src, 0)
 	g.relax(b, nil, dst, 0)
-	for len(f.heap) > 0 && len(b.heap) > 0 && addDist(f.heap[0].d, b.heap[0].d) < g.meet {
+	for len(f.heap) > 0 && len(b.heap) > 0 && addDist(f.heap[0].d, b.heap[0].d+1) < g.meet {
 		if err := tk.check(op); err != nil {
 			return 0, err
 		}
@@ -329,6 +342,9 @@ func (g *product) settle(s, o *search, w *startWalk, it heapItem, x, q int32) {
 func (g *product) relax(s, o *search, y int32, d int64) {
 	if d >= s.dist[y] {
 		return
+	}
+	if s.dist[y] == maxDist {
+		s.reached = append(s.reached, y)
 	}
 	s.dist[y] = d
 	s.push(heapItem{d, y})
@@ -502,8 +518,7 @@ func (e *Engine) skeletons(tk *ticker, op string, a *automaton) ([][]int64, erro
 // G-representations, sharing the blocks of their common prefix, with
 // every other nonterminal edge replaced by its skeleton arcs from
 // skel. The start graph's block gets its IDs but none of its edges:
-// Reachable adds S′-closure arcs in their place, and Distance and
-// Matches read S′ in place (startWalk). It returns u's product node
+// the search reads S′ in place instead (startWalk). It returns u's product node
 // in a's start state and v's ID.
 func (e *Engine) expand(s *scratch, a *automaton, skel [][]int64, u, v int64) (src, dst int32, err error) {
 	l1, l2 := &s.loc1, &s.loc2

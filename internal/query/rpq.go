@@ -119,9 +119,10 @@ func (e *Engine) NewRPQContext(ctx context.Context, nfa *NFA) (*RPQ, error) {
 // the right-hand sides along both G-representations (product
 // skeletons standing in for unexpanded subtrees) and searches their
 // product with the NFA together with S′ in product space, read in
-// place from the start graph. It asks no reachability question first,
-// so a star automaton over every label answers Reachable's question
-// independently of the condensation.
+// place from the start graph. It runs one way, asks no reachability
+// question first and takes no condensation bound, so a star automaton
+// over every label answers Reachable's question independently of both
+// the condensation and Reachable's two-way search.
 func (r *RPQ) Matches(u, v int64) (bool, error) {
 	return r.MatchesContext(context.Background(), u, v)
 }
@@ -142,5 +143,6 @@ func (r *RPQ) MatchesContext(ctx context.Context, u, v int64) (bool, error) {
 	tk := ticker{ctx: ctx}
 	w := newStartWalk(e, &r.aut, r.skel, 0, math.MaxInt32)
 	d, err := s.pg.dijkstra(&tk, "query: rpq match", src, dst, r.aut.accept, &w)
+	s.pg.clear()
 	return err == nil && d < maxDist, err
 }

@@ -32,9 +32,10 @@ func (e *Engine) getScratch() *scratch {
 	return &scratch{}
 }
 
-// putScratch returns the scratch to the pool. The next user resets
-// every buffer it reads; the product's blocks still point at the
-// grammar's graphs, which the engine keeps alive anyway.
+// putScratch returns the scratch to the pool. Every query leaves its
+// product clear (every head and dist entry unset), and the next user
+// resets every other buffer it reads; the product's blocks still
+// point at the grammar's graphs, which the engine keeps alive anyway.
 func (e *Engine) putScratch(s *scratch) {
 	e.pool.Put(s)
 }
