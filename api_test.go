@@ -1,9 +1,14 @@
 package graphrepair_test
 
 import (
+	"bytes"
+	"context"
+	"errors"
 	"testing"
 
 	"graphrepair"
+	"graphrepair/internal/encoding"
+	"graphrepair/internal/hypergraph"
 )
 
 // TestPublicAPIRoundtrip exercises the full public surface the README
@@ -113,5 +118,79 @@ func TestFromTriplesExposed(t *testing.T) {
 	})
 	if skipped != 1 || g.NumEdges() != 1 {
 		t.Fatal("FromTriples misbehaved")
+	}
+}
+
+// TestFacadeReadsSealedArchive pins that the library reads what
+// `grepair -seal` writes: Decode, DecodeContext and Decompress give
+// the same grammar and the same graph on a sealed archive as on its
+// plain payload, and a sealed archive with one flipped payload byte
+// is refused as corrupt by all three.
+func TestFacadeReadsSealedArchive(t *testing.T) {
+	g := graphrepair.NewGraph(33)
+	for i := 1; i < 33; i++ {
+		g.AddEdge(graphrepair.Label(1+i%2), graphrepair.NodeID(i), graphrepair.NodeID(i+1))
+	}
+	res, err := graphrepair.Compress(g, 2, graphrepair.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, _, err := graphrepair.Encode(res.Grammar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed := encoding.Seal(plain)
+	ctx := context.Background()
+	readers := []struct {
+		name string
+		read func([]byte) (*graphrepair.Grammar, error)
+	}{
+		{"Decode", graphrepair.Decode},
+		{"DecodeContext", func(b []byte) (*graphrepair.Grammar, error) {
+			return graphrepair.DecodeContext(ctx, b, graphrepair.Limits{})
+		}},
+	}
+	for _, r := range readers {
+		want, err := r.read(plain)
+		if err != nil {
+			t.Fatalf("%s(plain): %v", r.name, err)
+		}
+		got, err := r.read(sealed)
+		if err != nil {
+			t.Fatalf("%s(sealed): %v", r.name, err)
+		}
+		wantBuf, _, err := graphrepair.Encode(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotBuf, _, err := graphrepair.Encode(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotBuf, wantBuf) {
+			t.Fatalf("%s: sealed archive decodes to another grammar", r.name)
+		}
+	}
+	want, err := graphrepair.Decompress(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := graphrepair.Decompress(sealed)
+	if err != nil {
+		t.Fatalf("Decompress(sealed): %v", err)
+	}
+	if !hypergraph.EqualHyper(got, want) {
+		t.Fatal("Decompress: sealed archive derives another graph")
+	}
+
+	rotted := append([]byte(nil), sealed...)
+	rotted[len(rotted)-1] ^= 0x40
+	for _, r := range readers {
+		if _, err := r.read(rotted); !errors.Is(err, graphrepair.ErrCorrupt) {
+			t.Fatalf("%s(rotted) = %v, want ErrCorrupt", r.name, err)
+		}
+	}
+	if _, err := graphrepair.Decompress(rotted); !errors.Is(err, graphrepair.ErrCorrupt) {
+		t.Fatalf("Decompress(rotted) = %v, want ErrCorrupt", err)
 	}
 }

@@ -11,9 +11,10 @@
 //
 // -timeout bounds the whole run (decode, engine construction, and the
 // query itself); an expired deadline surfaces as a canceled error.
-// -max-nodes/-max-edges reject bomb archives analytically before
-// materialization; sealed archives (grepair -seal) are verified
-// before decode.
+// The archive is loaded by serve.Load, the loader the server's
+// reload uses too: sealed archives (grepair -seal) are verified
+// before decode, and -max-nodes/-max-edges reject bomb archives
+// analytically before materialization.
 //
 // Serve mode keeps the compiled engine resident and answers queries
 // over HTTP from any number of concurrent clients (see serve.go for
@@ -32,7 +33,6 @@ import (
 	"os"
 	"time"
 
-	"graphrepair/internal/encoding"
 	"graphrepair/internal/govern"
 	"graphrepair/internal/query"
 	"graphrepair/internal/serve"
@@ -81,26 +81,7 @@ func run(path, q string, from, to int64, timeout time.Duration, lim govern.Limit
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if encoding.IsSealed(buf) {
-		if buf, err = encoding.Unseal(buf); err != nil {
-			return err
-		}
-	}
-	g, err := encoding.DecodeContext(ctx, buf, lim)
-	if err != nil {
-		return err
-	}
-	if lim.MaxNodes > 0 || lim.MaxEdges > 0 {
-		nodes, edges := g.DerivedSize()
-		if err := lim.CheckSize(nodes, edges); err != nil {
-			return err
-		}
-	}
-	eng, err := query.NewContext(ctx, g)
+	eng, err := serve.Load(ctx, path, lim)
 	if err != nil {
 		return err
 	}

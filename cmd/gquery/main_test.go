@@ -63,21 +63,43 @@ func writeBombArchive(t *testing.T, levels int) string {
 	return path
 }
 
+// TestQueriesCLI runs every one-shot query on a plain archive and on
+// its sealed form, and checks that a sealed archive with one flipped
+// payload byte is refused as corrupt.
 func TestQueriesCLI(t *testing.T) {
 	path := compressedFile(t)
-	for _, tc := range []struct {
-		q        string
-		from, to int64
-	}{
-		{"reach", 1, 9},
-		{"out", 1, 0},
-		{"in", 9, 0},
-		{"components", 0, 0},
-		{"degrees", 0, 0},
-	} {
-		if err := run(path, tc.q, tc.from, tc.to, 0, govern.Limits{}); err != nil {
-			t.Fatalf("query %s: %v", tc.q, err)
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed := encoding.Seal(buf)
+	sealedPath := path + ".sealed"
+	if err := os.WriteFile(sealedPath, sealed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{path, sealedPath} {
+		for _, tc := range []struct {
+			q        string
+			from, to int64
+		}{
+			{"reach", 1, 9},
+			{"out", 1, 0},
+			{"in", 9, 0},
+			{"components", 0, 0},
+			{"degrees", 0, 0},
+		} {
+			if err := run(p, tc.q, tc.from, tc.to, 0, govern.Limits{}); err != nil {
+				t.Fatalf("%s: query %s: %v", filepath.Base(p), tc.q, err)
+			}
 		}
+	}
+	sealed[len(sealed)-1] ^= 0x40
+	rotted := path + ".rotted"
+	if err := os.WriteFile(rotted, sealed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(rotted, "components", 0, 0, 0, govern.Limits{}); !errors.Is(err, govern.ErrCorrupt) {
+		t.Fatalf("bit-rotted sealed archive = %v, want ErrCorrupt", err)
 	}
 	if err := run(path, "bogus", 0, 0, 0, govern.Limits{}); err == nil {
 		t.Fatal("bogus query accepted")

@@ -16,8 +16,11 @@
 // -seal wraps the encoded grammar in a self-verifying container
 // (per-chunk CRC32s; see internal/encoding's seal format) so loaders
 // detect bit rot before decoding. With -c it seals the fresh output;
-// alone it seals an existing legacy archive after verifying it still
-// decodes. -d and -stats accept sealed and unsealed files alike.
+// alone it seals an existing plain archive after verifying it still
+// decodes. -d and -stats read sealed and plain files alike through
+// the library's one archive reader; -stats reports the file as
+// stored, so for a sealed file "file bytes" and "bits per edge"
+// count the container too.
 package main
 
 import (
@@ -84,20 +87,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "grepair:", err)
 		os.Exit(1)
 	}
-}
-
-// readArchive reads a grammar file, transparently verifying and
-// unwrapping the seal container when present (bit rot in a sealed
-// file surfaces as ErrCorrupt here, before the decoder runs).
-func readArchive(path string) ([]byte, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if encoding.IsSealed(buf) {
-		return encoding.Unseal(buf)
-	}
-	return buf, nil
 }
 
 func run(in string, o options) error {
@@ -180,7 +169,7 @@ func run(in string, o options) error {
 		return nil
 
 	case o.decompress:
-		buf, err := readArchive(in)
+		buf, err := os.ReadFile(in)
 		if err != nil {
 			return err
 		}
@@ -224,7 +213,7 @@ func run(in string, o options) error {
 		return nil
 
 	default: // stats
-		buf, err := readArchive(in)
+		buf, err := os.ReadFile(in)
 		if err != nil {
 			return err
 		}

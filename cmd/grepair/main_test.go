@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -287,8 +288,13 @@ func TestSealCLI(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatal("decompressing sealed vs unsealed differs")
 	}
-	if err := run(sealed, options{stats: true, out: filepath.Join(dir, "s.txt")}); err != nil {
+	statsOut := filepath.Join(dir, "s.txt")
+	if err := run(sealed, options{stats: true, out: statsOut}); err != nil {
 		t.Fatalf("stats on sealed: %v", err)
+	}
+	// -stats reports the file as stored, container included.
+	if st, _ := os.ReadFile(statsOut); !bytes.Contains(st, []byte(fmt.Sprintf("file bytes:      %d\n", len(sealedBuf)))) {
+		t.Fatalf("stats on sealed does not report the %d stored bytes:\n%s", len(sealedBuf), st)
 	}
 
 	// Standalone -seal wraps an existing legacy archive identically.

@@ -64,15 +64,18 @@ func CompressContext(ctx context.Context, g *Graph, terminals Label, opts Option
 // DecodeContext is Decode under resource governance: lim.MaxAllocBytes
 // bounds the estimated bytes the decoder may allocate (charged from
 // the input's claimed counts before each table grows), and ctx is
-// polled between rules and start-graph sections. Malformed input
-// yields an error matching ErrCorrupt.
+// polled between rules and start-graph sections. A sealed archive is
+// verified (every chunk CRC and the exact length) before the decoder
+// sees a byte. Malformed input, a failed seal check included, yields
+// an error matching ErrCorrupt.
 func DecodeContext(ctx context.Context, buf []byte, lim Limits) (g *Grammar, err error) {
 	defer backstop("decode", &err)
 	return encoding.DecodeContext(ctx, buf, lim)
 }
 
-// DecompressContext is Decompress under resource governance. The
-// derived size of the decoded grammar is computed analytically, in
+// DecompressContext is Decompress under resource governance. It
+// reads sealed and plain archives as DecodeContext does. The derived
+// size of the decoded grammar is computed analytically, in
 // O(|rules|), before materialization: a decompression bomb — a tiny
 // encoding whose val(G) exceeds lim.MaxNodes or lim.MaxEdges — is
 // rejected with an error matching ErrLimit in microseconds, having

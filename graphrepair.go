@@ -134,16 +134,18 @@ func Encode(g *Grammar) (buf []byte, sz Sizes, err error) {
 	return encoding.Encode(g)
 }
 
-// Decode parses a grammar from its binary encoding. For limits and
-// cancellation on untrusted input, see DecodeContext.
+// Decode parses a grammar from its binary encoding, sealed
+// (`grepair -seal`) or plain. For limits and cancellation on
+// untrusted input, see DecodeContext.
 func Decode(buf []byte) (*Grammar, error) {
 	return DecodeContext(context.Background(), buf, Limits{})
 }
 
-// Decompress decodes a grammar and derives val(G), the canonical
-// graph it represents (isomorphic to the compressed input). It
-// imposes no limits: a decompression bomb will be materialized. For
-// untrusted input use DecompressContext with Limits.
+// Decompress decodes a grammar, sealed or plain, and derives val(G),
+// the canonical graph it represents (isomorphic to the compressed
+// input). It imposes no limits: a decompression bomb will be
+// materialized. For untrusted input use DecompressContext with
+// Limits.
 func Decompress(buf []byte) (*Graph, error) {
 	return DecompressContext(context.Background(), buf, Limits{})
 }

@@ -277,21 +277,32 @@ const (
 	edgeCostBytes = 64
 )
 
-// Decode parses a grammar encoded by Encode, with no limits and no
-// cancellation; it is DecodeContext with a background context.
+// Decode parses a grammar encoded by Encode, sealed or plain, with no
+// limits and no cancellation; it is DecodeContext with a background
+// context.
 func Decode(buf []byte) (*grammar.Grammar, error) {
 	return DecodeContext(context.Background(), buf, govern.Limits{})
 }
 
-// DecodeContext parses a grammar encoded by Encode under resource
-// governance: lim.MaxAllocBytes bounds the estimated bytes the decoder
-// may allocate (charged from the claimed counts before each table
-// grows, so a short file claiming millions of nodes is rejected before
-// the allocation happens, not after), and ctx is polled between rules
-// and between start-graph labels. Every failure is classified under
-// the govern taxonomy: corrupt input wraps govern.ErrCorrupt, budget
+// DecodeContext is the one reader of archive bytes. A sealed archive
+// (IsSealed) is verified by Unseal, every CRC and the exact length,
+// before the decoder sees a byte of its payload; a plain archive is
+// decoded as is. Decoding runs under resource governance:
+// lim.MaxAllocBytes bounds the estimated bytes the decoder may
+// allocate (charged from the claimed counts before each table grows,
+// so a short file claiming millions of nodes is rejected before the
+// allocation happens, not after), and ctx is polled between rules and
+// between start-graph labels. Every failure is classified under the
+// govern taxonomy: corrupt input wraps govern.ErrCorrupt, budget
 // overruns wrap govern.ErrLimit, cancellation wraps govern.ErrCanceled.
 func DecodeContext(ctx context.Context, buf []byte, lim govern.Limits) (*grammar.Grammar, error) {
+	if IsSealed(buf) {
+		payload, err := Unseal(buf)
+		if err != nil {
+			return nil, err
+		}
+		buf = payload
+	}
 	g, err := decode(ctx, buf, lim)
 	if err != nil {
 		return nil, govern.Corrupt(err)

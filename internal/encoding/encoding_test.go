@@ -294,13 +294,7 @@ func TestVersionHeader(t *testing.T) {
 		{"v3", withVersion(3), nil},
 		{"v127", withVersion(0x7F), nil},
 	} {
-		buf := tc.buf
-		if IsSealed(buf) {
-			if buf, err = Unseal(buf); err != nil {
-				t.Fatalf("%s: unseal: %v", tc.name, err)
-			}
-		}
-		dec, err := Decode(buf)
+		dec, err := Decode(tc.buf)
 		if tc.want == nil {
 			if !errors.Is(err, govern.ErrCorrupt) {
 				t.Fatalf("%s decoded: err=%v, want ErrCorrupt", tc.name, err)

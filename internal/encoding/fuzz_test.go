@@ -59,7 +59,8 @@ func fuzzSeedBuffers(f *testing.F) [][]byte {
 // malicious file must never crash a reader process.
 func FuzzDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(42))
-	for _, buf := range fuzzSeedBuffers(f) {
+	seeds := fuzzSeedBuffers(f)
+	for _, buf := range seeds {
 		f.Add(buf)
 		// A few pre-corrupted variants seed the interesting
 		// almost-valid region directly.
@@ -78,6 +79,13 @@ func FuzzDecode(f *testing.F) {
 			f.Add(b)
 		}
 	}
+	// A sealed archive and one with a flipped payload byte: Decode
+	// unseals before decoding, so the fuzzer reaches Unseal too.
+	sealed := sealChunked(seeds[0], 16)
+	f.Add(sealed)
+	bad := append([]byte(nil), sealed...)
+	bad[len(bad)-1] ^= 0x40
+	f.Add(bad)
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 

@@ -21,8 +21,8 @@
 // matches. A sealed file therefore rejects any single corrupted byte
 // anywhere in the file before the grammar decoder runs. The exact
 // total-length check makes truncation and trailing garbage corrupt
-// too. Legacy unsealed archives simply lack the magic; IsSealed
-// distinguishes the two so loaders can accept both.
+// too. Plain archives simply lack the magic; DecodeContext reads both,
+// unsealing first when IsSealed holds.
 package encoding
 
 import (
@@ -39,10 +39,10 @@ const (
 	sealVersion   = 1
 	sealHeaderLen = 4 + 1 + 4 + 8 + 4
 
-	// DefaultSealChunk is the chunk size Seal uses: small enough to
+	// defaultSealChunk is the chunk size Seal uses: small enough to
 	// localize a corruption report, large enough that the CRC table is
 	// negligible (<0.007% overhead).
-	DefaultSealChunk = 64 << 10
+	defaultSealChunk = 64 << 10
 
 	// maxSealChunk bounds the chunk size Unseal accepts; anything
 	// larger cannot have been written by Seal.
@@ -58,14 +58,11 @@ func IsSealed(buf []byte) bool {
 // Seal wraps an encoded grammar payload in the integrity container
 // with the default chunk size. The payload bytes are stored verbatim:
 // Unseal(Seal(p)) returns p exactly.
-func Seal(payload []byte) []byte { return SealChunked(payload, DefaultSealChunk) }
+func Seal(payload []byte) []byte { return sealChunked(payload, defaultSealChunk) }
 
-// SealChunked is Seal with an explicit chunk size (out-of-range sizes
-// fall back to DefaultSealChunk).
-func SealChunked(payload []byte, chunkSize int) []byte {
-	if chunkSize <= 0 || chunkSize > maxSealChunk {
-		chunkSize = DefaultSealChunk
-	}
+// sealChunked is Seal with an explicit chunk size in 1..maxSealChunk;
+// the tests use small chunks to cover multi-chunk layouts cheaply.
+func sealChunked(payload []byte, chunkSize int) []byte {
 	n := (len(payload) + chunkSize - 1) / chunkSize
 	out := make([]byte, 0, sealHeaderLen+4*n+len(payload))
 	out = append(out, sealMagic...)

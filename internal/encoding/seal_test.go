@@ -35,6 +35,9 @@ func TestSealRoundTripGoldens(t *testing.T) {
 		if _, err := Decode(got); err != nil {
 			t.Fatalf("%s: unsealed payload no longer decodes: %v", name, err)
 		}
+		if _, err := Decode(sealed); err != nil {
+			t.Fatalf("%s: Decode of the sealed archive: %v", name, err)
+		}
 	}
 }
 
@@ -46,13 +49,16 @@ func TestSealSingleByteCorruption(t *testing.T) {
 	payload := sweepCorpora(t)["chain64"]
 	// A small chunk size forces a multi-entry CRC table so the sweep
 	// also crosses chunk boundaries and table bytes.
-	sealed := SealChunked(payload, 16)
+	sealed := sealChunked(payload, 16)
 	for i := range sealed {
 		for _, mask := range []byte{0x01, 0x80, 0xFF} {
 			mut := append([]byte(nil), sealed...)
 			mut[i] ^= mask
 			if _, err := Unseal(mut); !errors.Is(err, govern.ErrCorrupt) {
 				t.Fatalf("byte %d ^ %#x: Unseal = %v, want ErrCorrupt", i, mask, err)
+			}
+			if _, err := Decode(mut); !errors.Is(err, govern.ErrCorrupt) {
+				t.Fatalf("byte %d ^ %#x: Decode = %v, want ErrCorrupt", i, mask, err)
 			}
 		}
 	}
@@ -79,7 +85,7 @@ func TestSealTruncationAndGrowth(t *testing.T) {
 func TestSealEmptyAndOddSizes(t *testing.T) {
 	for _, n := range []int{0, 1, 15, 16, 17, 31, 32, 33} {
 		payload := bytes.Repeat([]byte{0xA5}, n)
-		got, err := Unseal(SealChunked(payload, 16))
+		got, err := Unseal(sealChunked(payload, 16))
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}

@@ -343,9 +343,9 @@ func (g *Graph) IncidentSeq(v NodeID) iter.Seq[EdgeID] {
 // but never unlinked. This is the traversal for shared read-only
 // graphs — any number of goroutines may run IncidentSeqRO (and the
 // other pure readers) concurrently on a graph nobody mutates, whereas
-// IncidentSeq compacts the chain in passing and therefore writes. On a
-// graph whose chains were already scrubbed (one full IncidentSeq pass
-// after the last removal) the two traversals do identical work.
+// IncidentSeq compacts the chain in passing and therefore writes. The
+// query engine reads only through it; a decoded or compacted graph has
+// no dead slots, so there the two traversals do identical work.
 func (g *Graph) IncidentSeqRO(v NodeID) iter.Seq[EdgeID] {
 	return func(yield func(EdgeID) bool) {
 		for cur := g.inc[v].head; cur != 0; {

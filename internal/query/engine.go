@@ -207,27 +207,6 @@ func NewContext(ctx context.Context, g *grammar.Grammar) (*Engine, error) {
 		base = govern.SatAdd(base, nodes[e.ruleIdx(s.Label(id))])
 	}
 
-	// Scrub the incidence chains of every graph the queries will
-	// traverse: pruning leaves tombstoned slots behind, and the first
-	// IncidentSeq walk would unlink them — a write. One warm pass here
-	// (still single-goroutine) compacts every chain, and the query
-	// phase then uses the pure IncidentSeqRO traversal, so concurrent
-	// readers never see a chain mutate underneath them.
-	scrub := func(h *hypergraph.Graph) {
-		nodeBuf = h.AppendNodes(nodeBuf[:0])
-		for _, v := range nodeBuf {
-			for range h.IncidentSeq(v) {
-			}
-		}
-	}
-	scrub(g.Start)
-	for _, nt := range e.bottomUp {
-		if err := tk.check(op); err != nil {
-			return nil, err
-		}
-		scrub(g.Rule(nt))
-	}
-
 	// The query layers.
 	if e.skel, err = e.skeletons(&tk, op, &anyLabel); err != nil {
 		return nil, err

@@ -38,9 +38,9 @@ func (e *Engine) Neighbors(k int64, dir Direction) ([]int64, error) {
 // polled as the derived neighborhood is walked, so a per-query
 // deadline bounds nodes of adversarially high degree.
 //
-// Incidence chains are walked with the read-only IncidentSeqRO — the
-// compile phase scrubbed every chain, so concurrent queries share the
-// graphs without a single write (DESIGN.md §13). All accumulation
+// Incidence chains are walked with the read-only IncidentSeqRO, which
+// skips dead slots without unlinking them, so concurrent queries share
+// the graphs without a single write (DESIGN.md §13). All accumulation
 // happens in the pooled scratch; the returned slice is a fresh copy
 // the caller owns.
 func (e *Engine) NeighborsContext(ctx context.Context, k int64, dir Direction) ([]int64, error) {

@@ -11,25 +11,24 @@ import (
 // with a Retry-After header.
 var errShed = errors.New("serve: saturated, request shed")
 
+// queueWait bounds how long a queued request waits for a slot before
+// it is shed.
+const queueWait = 100 * time.Millisecond
+
 // admission is a bounded in-flight semaphore with a short
-// deadline-aware wait queue. Slots model requests executing on the
-// engine; the queue absorbs bursts slightly above capacity without
-// letting latency grow unboundedly — a waiter is shed when the queue
-// is full on arrival, when its bounded wait elapses, or when its own
-// deadline expires first.
+// deadline-aware wait queue as deep as the semaphore. Slots model
+// requests executing on the engine; the queue absorbs bursts slightly
+// above capacity without letting latency grow unboundedly — a waiter
+// is shed when the queue is full on arrival, when its bounded wait
+// elapses, or when its own deadline expires first.
 type admission struct {
-	slots     chan struct{} // buffered to maxInflight; len() = in flight
-	queueWait time.Duration
-	maxQueue  int64
-	queued    atomic.Int64
+	slots  chan struct{} // buffered to maxInflight; len() = in flight
+	wait   time.Duration // queueWait; a test may lengthen it
+	queued atomic.Int64
 }
 
-func newAdmission(maxInflight, queueDepth int, queueWait time.Duration) *admission {
-	return &admission{
-		slots:     make(chan struct{}, maxInflight),
-		queueWait: queueWait,
-		maxQueue:  int64(queueDepth),
-	}
+func newAdmission(maxInflight int) *admission {
+	return &admission{slots: make(chan struct{}, maxInflight), wait: queueWait}
 }
 
 // acquire takes an in-flight slot, waiting in the bounded queue if
@@ -41,12 +40,12 @@ func (a *admission) acquire(ctx context.Context) error {
 		return nil
 	default:
 	}
-	if a.queued.Add(1) > a.maxQueue {
+	if a.queued.Add(1) > int64(cap(a.slots)) {
 		a.queued.Add(-1)
 		return errShed
 	}
 	defer a.queued.Add(-1)
-	t := time.NewTimer(a.queueWait)
+	t := time.NewTimer(a.wait)
 	defer t.Stop()
 	select {
 	case a.slots <- struct{}{}:

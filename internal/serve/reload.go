@@ -8,43 +8,29 @@ import (
 
 	"graphrepair/internal/encoding"
 	"graphrepair/internal/faultinject"
+	"graphrepair/internal/govern"
 	"graphrepair/internal/query"
 )
 
-// load reads, verifies, decodes and compiles the archive. It runs
-// entirely off the request path and touches no server state, so a
-// failure leaves whatever engine is being served untouched.
-func (s *Server) load(ctx context.Context) (*query.Engine, error) {
-	if faultinject.Enabled {
-		if err := faultinject.Hit(faultinject.ServeReloadRead); err != nil {
-			return nil, err
-		}
-	}
-	buf, err := os.ReadFile(s.path)
+// Load is the one path from an archive file to a query engine, for
+// Server.Reload and for gquery's one-shot mode: it reads the file,
+// decodes it (sealed or plain, see encoding.DecodeContext) under lim,
+// rejects analytically (O(|rules|), from rule sizes alone) any
+// archive whose derived graph exceeds lim.MaxNodes or lim.MaxEdges,
+// and compiles the engine. It touches no server state, so a failure
+// leaves whatever engine is being served untouched.
+func Load(ctx context.Context, path string, lim govern.Limits) (*query.Engine, error) {
+	buf, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	payload := buf
-	if encoding.IsSealed(buf) {
-		// Sealed archive: verify the container checksums before the
-		// grammar decoder sees a byte, so bit rot is a typed ErrCorrupt
-		// here rather than a structural decode error (or worse, a
-		// plausible-but-wrong grammar) later.
-		if payload, err = encoding.Unseal(buf); err != nil {
-			return nil, err
-		}
-	}
-	g, err := encoding.DecodeContext(ctx, payload, s.cfg.Limits)
+	g, err := encoding.DecodeContext(ctx, buf, lim)
 	if err != nil {
 		return nil, err
 	}
-	// Bomb defense: reject analytically (O(|rules|), from rule sizes
-	// alone) any archive whose derived graph exceeds the configured
-	// caps, before compiling an engine that queries could then use to
-	// materialize enormous neighbor blocks.
-	if lim := s.cfg.Limits; lim.MaxNodes > 0 || lim.MaxEdges > 0 {
-		nodes, edges := g.DerivedSize()
-		if err := lim.CheckSize(nodes, edges); err != nil {
+	// DerivedSize is a pass over the rules; skip it when no cap is set.
+	if lim.MaxNodes > 0 || lim.MaxEdges > 0 {
+		if err := lim.CheckSize(g.DerivedSize()); err != nil {
 			return nil, err
 		}
 	}
@@ -63,7 +49,14 @@ func (s *Server) load(ctx context.Context) (*query.Engine, error) {
 func (s *Server) Reload(ctx context.Context) error {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
-	eng, err := s.load(ctx)
+	var eng *query.Engine
+	var err error
+	if faultinject.Enabled {
+		err = faultinject.Hit(faultinject.ServeReloadRead)
+	}
+	if err == nil {
+		eng, err = Load(ctx, s.path, s.cfg.Limits)
+	}
 	if err != nil {
 		s.met.reloadFails.Add(1)
 		s.cfg.Logf("gquery: reload of %s failed (keeping current engine): %v", s.path, err)

@@ -11,15 +11,16 @@
 //     panicking handler into a 500, increments a counter, and keeps
 //     the server alive — the serving-layer mirror of the facade's
 //     recover backstop.
-//   - Integrity: archives may be sealed (encoding.Seal); the load
-//     path verifies the container before the decoder runs, so bit rot
-//     is rejected with a typed govern.ErrCorrupt at load time, and a
-//     bomb archive is rejected analytically against Config.Limits
-//     before it can OOM the process.
-//   - Hot reload: Reload re-reads, re-verifies and re-compiles the
-//     archive off the request path, then swaps the engine pointer
-//     atomically; in-flight requests drain on the engine they
-//     started with, and a failed reload keeps the old engine serving.
+//   - Integrity: Load, the one loader, reads archives through
+//     encoding.DecodeContext, which verifies a sealed container
+//     (encoding.Seal) before the decoder runs, so bit rot is rejected
+//     with a typed govern.ErrCorrupt at load time, and a bomb archive
+//     is rejected analytically against Config.Limits before it can
+//     OOM the process.
+//   - Hot reload: Reload runs Load off the request path, then swaps
+//     the engine pointer atomically; in-flight requests drain on the
+//     engine they started with, and a failed reload keeps the old
+//     engine serving.
 //
 // Query errors are classified against the govern taxonomy:
 // ErrCanceled→503, ErrLimit→429, ErrCorrupt→500; only genuine input
@@ -34,6 +35,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/url"
 	"os"
 	"runtime"
 	"strconv"
@@ -48,21 +50,16 @@ import (
 )
 
 // Config tunes a Server. The zero value serves with sane defaults:
-// 4×GOMAXPROCS in-flight slots, an equal-depth wait queue, a 100ms
-// queue wait, no resource limits.
+// 4×GOMAXPROCS in-flight slots and no resource limits. The wait queue
+// in front of the slots is fixed: as deep as MaxInflight, and a
+// queued request is shed after 100ms or when its own deadline expires
+// first.
 type Config struct {
 	// ReqTimeout bounds each query request (0 = none).
 	ReqTimeout time.Duration
 	// MaxInflight caps concurrently executing query requests
 	// (<=0 → 4×GOMAXPROCS).
 	MaxInflight int
-	// QueueDepth caps requests waiting for an in-flight slot; arrivals
-	// beyond it are shed immediately (<=0 → MaxInflight).
-	QueueDepth int
-	// QueueWait bounds how long a queued request waits for a slot
-	// before being shed (<=0 → 100ms). The wait is also deadline-aware:
-	// a request whose own deadline expires while queued is shed then.
-	QueueWait time.Duration
 	// Limits governs archive loading: MaxAllocBytes bounds decoder
 	// allocations, MaxNodes/MaxEdges reject bomb archives analytically
 	// (from rule sizes, before materialization) at load/reload time.
@@ -79,12 +76,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 4 * runtime.GOMAXPROCS(0)
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = c.MaxInflight
-	}
-	if c.QueueWait <= 0 {
-		c.QueueWait = 100 * time.Millisecond
 	}
 	if c.Logf == nil {
 		c.Logf = func(format string, args ...any) {
@@ -125,7 +116,7 @@ func New(path string, cfg Config) *Server {
 	return &Server{
 		cfg:   cfg,
 		path:  path,
-		admit: newAdmission(cfg.MaxInflight, cfg.QueueDepth, cfg.QueueWait),
+		admit: newAdmission(cfg.MaxInflight),
 	}
 }
 
@@ -237,8 +228,8 @@ func (s *Server) writeJSON(w http.ResponseWriter, v any) {
 
 // param parses an int64 query parameter, distinguishing absent from
 // malformed.
-func param(r *http.Request, name string) (int64, bool, error) {
-	v := r.URL.Query().Get(name)
+func param(vals url.Values, name string) (int64, bool, error) {
+	v := vals.Get(name)
 	if v == "" {
 		return 0, false, nil
 	}
@@ -267,7 +258,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	if err := s.admit.acquire(ctx); err != nil {
 		s.met.shed.Add(1)
-		w.Header().Set("Retry-After", retryAfter(s.cfg.QueueWait))
+		// The header's granularity is a second, well above queueWait.
+		w.Header().Set("Retry-After", "1")
 		http.Error(w, err.Error(), http.StatusTooManyRequests)
 		return
 	}
@@ -292,13 +284,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	q := r.URL.Query().Get("q")
-	from, hasFrom, err := param(r, "from")
+	vals := r.URL.Query()
+	q := vals.Get("q")
+	from, hasFrom, err := param(vals, "from")
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	to, hasTo, err := param(r, "to")
+	to, hasTo, err := param(vals, "to")
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -330,7 +323,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if !need(hasFrom, "from") {
 			return
 		}
-		dir := map[string]query.Direction{"out": query.Out, "in": query.In, "both": query.Both}[q]
+		dir := query.Both
+		switch q {
+		case "out":
+			dir = query.Out
+		case "in":
+			dir = query.In
+		}
 		resp.Neighbors, err = eng.NeighborsContext(ctx, from, dir)
 	case "components":
 		c := eng.ComponentCount()
@@ -353,17 +352,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	s.met.served.Add(1)
 	s.writeJSON(w, resp)
-}
-
-// retryAfter renders the Retry-After hint for shed responses: at
-// least one second (the header's granularity), matched to how long a
-// freed slot typically takes to surface under the configured wait.
-func retryAfter(queueWait time.Duration) string {
-	secs := int64(queueWait / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.FormatInt(secs, 10)
 }
 
 // Serve answers HTTP on ln until ctx is done, then drains: in-flight
