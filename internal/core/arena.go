@@ -56,71 +56,18 @@ func (a *arena[T]) addSegment() {
 // reset empties the arena, keeping every segment.
 func (a *arena[T]) reset() { a.n = 0 }
 
-// attKey identifies a rank-2 edge exactly by its label and ordered
-// attachment. Using the full tuple as a map key (instead of the 64-bit
-// FNV digest the compressor trusted before PR 3) makes the
-// duplicate-edge veto collision-free: two distinct (label, attachment)
-// pairs can never be conflated, so a legal replacement is never
-// mis-vetoed (DESIGN.md §8).
-type attKey struct {
-	label    hypergraph.Label
-	src, dst hypergraph.NodeID
-}
-
-// edgeInterner maps each distinct rank-2 (label, attachment) to a
-// dense ID and counts the alive edges per ID. The compressor stores
-// the interned ID per edge, so removing an edge decrements its count
-// without recomputing (or hashing) the key — the per-replacement FNV
-// hashing of the pre-PR-3 edgeSet is gone entirely. Only rank-2 edges
-// are interned: the duplicate veto exists because rank-2 edges are
-// encoded as adjacency matrices (which cannot represent parallel
-// edges, DESIGN.md §5.4); hyperedges of other ranks live in incidence
-// matrices where parallel edges are fine.
-type edgeInterner struct {
-	ids    map[attKey]int32
-	counts []int32 // alive edges per interned ID
-}
-
-// reset empties the interner for a graph of the given number of
-// edges, whose rank-2 edges' IDs fill counts exactly. The first call
-// allocates at that size; later calls clear the map and truncate
-// counts in place, keeping what they grew to.
-func (t *edgeInterner) reset(edges int) {
-	if t.ids == nil {
-		t.ids = make(map[attKey]int32, edges)
-	} else {
-		clear(t.ids)
-	}
-	if cap(t.counts) < edges {
-		t.counts = make([]int32, 0, edges)
-	}
-	t.counts = t.counts[:0]
-}
-
-// intern returns the dense ID of (label, src→dst), allocating the next
-// ID on first sight. Interned IDs are stable for the life of the
-// compressor.
-func (t *edgeInterner) intern(label hypergraph.Label, src, dst hypergraph.NodeID) int32 {
-	k := attKey{label: label, src: src, dst: dst}
-	id, ok := t.ids[k]
-	if !ok {
-		id = int32(len(t.counts))
-		t.counts = append(t.counts, 0)
-		t.ids[k] = id
-	}
-	return id
-}
-
 // noEntry is the sentinel chain link / per-edge slot for "none".
 const noEntry int32 = -1
 
 // occEntry is one link of an edge's occurrence chain: the occurrence
-// the edge joined and the hash of its digram key (the used-set marker
-// guaranteeing non-overlapping occurrence lists, Sec. III-C1).
+// the edge joined and the digramPool index of its digram (the used-set
+// marker guaranteeing non-overlapping occurrence lists, Sec. III-C1).
+// The digram map and the chains reset together in stageInit, so the
+// index identifies the digram exactly for as long as the entry lives.
 type occEntry struct {
-	h    uint64 // digram key hash (used-set marker)
-	oi   int32  // occPool index
-	next int32  // next entry of the same edge, or noEntry
+	di   int32 // digramPool index (used-set marker)
+	oi   int32 // occPool index
+	next int32 // next entry of the same edge, or noEntry
 }
 
 // edgeOccs holds the per-edge occurrence lists and used-key sets of a
@@ -155,9 +102,9 @@ func (s *edgeOccs) grow(n int) {
 	s.tail = growNeg(s.tail, n)
 }
 
-// add appends (h, oi) to edge e's chain.
-func (s *edgeOccs) add(e hypergraph.EdgeID, h uint64, oi int32) {
-	i := s.pool.push(occEntry{h: h, oi: oi, next: noEntry})
+// add appends occurrence oi of digram di to edge e's chain.
+func (s *edgeOccs) add(e hypergraph.EdgeID, di, oi int32) {
+	i := s.pool.push(occEntry{di: di, oi: oi, next: noEntry})
 	if t := s.tail[e]; t >= 0 {
 		s.pool.at(t).next = i
 	} else {
@@ -166,13 +113,13 @@ func (s *edgeOccs) add(e hypergraph.EdgeID, h uint64, oi int32) {
 	s.tail[e] = i
 }
 
-// keyUsed reports whether edge e already joined an occurrence of the
-// digram hashed h. Chains are tiny (one entry per digram the edge
-// joined), so the linear scan beats any set.
-func (s *edgeOccs) keyUsed(e hypergraph.EdgeID, h uint64) bool {
+// keyUsed reports whether edge e already joined an occurrence of
+// digram di. Chains are tiny (one entry per digram the edge joined),
+// so the linear scan beats any set.
+func (s *edgeOccs) keyUsed(e hypergraph.EdgeID, di int32) bool {
 	for i := s.head[e]; i >= 0; {
 		en := s.pool.at(i)
-		if en.h == h {
+		if en.di == di {
 			return true
 		}
 		i = en.next

@@ -3,7 +3,6 @@ package core
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"graphrepair/internal/hypergraph"
 )
@@ -197,7 +196,7 @@ func TestDigramOccChainArenaAllocs(t *testing.T) {
 // TestEdgeOccsChainOrder pins the arena's iteration contract: each
 // edge's chain yields its entries in insertion order (the replacement
 // loop's invalidation order — and thus the grammar output — depends on
-// it), and keyUsed sees exactly the hashes added for that edge.
+// it), and keyUsed sees exactly the digrams added for that edge.
 func TestEdgeOccsChainOrder(t *testing.T) {
 	var s edgeOccs
 	s.reset(4, 0)
@@ -220,7 +219,7 @@ func TestEdgeOccsChainOrder(t *testing.T) {
 		}
 	}
 	if !s.keyUsed(2, 300) || s.keyUsed(2, 200) || !s.keyUsed(1, 200) {
-		t.Fatal("keyUsed does not match the per-edge hash sets")
+		t.Fatal("keyUsed does not match the per-edge digram sets")
 	}
 	s.clear(2)
 	if s.keyUsed(2, 100) {
@@ -246,12 +245,12 @@ func TestArenaSteadyStateAllocs(t *testing.T) {
 	var s edgeOccs
 	s.reset(edges, 0)
 	for i := 0; i < entries; i++ {
-		s.add(hypergraph.EdgeID(i%edges), uint64(i), int32(i))
+		s.add(hypergraph.EdgeID(i%edges), int32(i), int32(i))
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		s.reset(edges, 0)
 		for i := 0; i < entries; i++ {
-			s.add(hypergraph.EdgeID(i%edges), uint64(i), int32(i))
+			s.add(hypergraph.EdgeID(i%edges), int32(i), int32(i))
 		}
 	}); n != 0 {
 		t.Errorf("warm edgeOccs reset+refill allocates %v/op, want 0", n)
@@ -264,51 +263,4 @@ func TestArenaSteadyStateAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("warm edgeOccs.grow allocates %v/op, want 0", n)
 	}
-}
-
-// TestEdgeInternerExact is the property check that interned keys agree
-// with exact (label, attachment) equality: two rank-2 edges get the
-// same dense ID iff their (label, src, dst) tuples are equal — the
-// guarantee the 64-bit FNV EdgeKey of the pre-PR-3 compressor could
-// not give.
-func TestEdgeInternerExact(t *testing.T) {
-	var it edgeInterner
-	it.reset(16)
-	f := func(l1, l2 int32, u1, v1, u2, v2 int16) bool {
-		a := it.intern(hypergraph.Label(l1), hypergraph.NodeID(u1), hypergraph.NodeID(v1))
-		b := it.intern(hypergraph.Label(l2), hypergraph.NodeID(u2), hypergraph.NodeID(v2))
-		equal := l1 == l2 && u1 == u2 && v1 == v2
-		if (a == b) != equal {
-			return false
-		}
-		// Interning is stable and never loses count slots.
-		return it.intern(hypergraph.Label(l1), hypergraph.NodeID(u1), hypergraph.NodeID(v1)) == a &&
-			int(a) < len(it.counts) && int(b) < len(it.counts)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// FuzzEdgeInterner fuzzes the same exactness property with
-// coverage-guided tuples, including near-collision patterns (swapped
-// source/target, label vs node confusion) the FNV key was weakest on.
-func FuzzEdgeInterner(f *testing.F) {
-	f.Add(int32(1), int32(1), int32(2), int32(1), int32(2), int32(1))
-	f.Add(int32(7), int32(3), int32(4), int32(7), int32(4), int32(3))
-	f.Add(int32(5), int32(5), int32(5), int32(5), int32(5), int32(5))
-	f.Fuzz(func(t *testing.T, l1, u1, v1, l2, u2, v2 int32) {
-		var it edgeInterner
-		it.reset(4)
-		a := it.intern(hypergraph.Label(l1), hypergraph.NodeID(u1), hypergraph.NodeID(v1))
-		b := it.intern(hypergraph.Label(l2), hypergraph.NodeID(u2), hypergraph.NodeID(v2))
-		equal := l1 == l2 && u1 == u2 && v1 == v2
-		if (a == b) != equal {
-			t.Fatalf("intern(%d,%d,%d)=%d, intern(%d,%d,%d)=%d; tuples equal: %v",
-				l1, u1, v1, a, l2, u2, v2, b, equal)
-		}
-		if got := it.intern(hypergraph.Label(l1), hypergraph.NodeID(u1), hypergraph.NodeID(v1)); got != a {
-			t.Fatalf("re-intern not stable: %d then %d", a, got)
-		}
-	})
 }

@@ -41,8 +41,8 @@ const (
 // duplicate-veto collision bug: with the FNV-keyed edgeSet, the
 // colliding terminal edge made `edgeSet[EdgeKey(nt, 4, 2)]` nonzero,
 // so the replacement attaching the new nonterminal to (4, 2) was
-// falsely counted as a duplicate and skipped. With exact interned
-// keys both occurrences of the digram are replaced.
+// falsely counted as a duplicate and skipped. With an exact veto
+// both occurrences of the digram are replaced.
 func TestDuplicateVetoExact(t *testing.T) {
 	// Prove the engineered inputs collide under the old digest and are
 	// genuinely distinct edges.
@@ -118,4 +118,45 @@ func TestDuplicateVetoStillFires(t *testing.T) {
 			st.Replacements, st.SkippedDuplicates)
 	}
 	checkRoundTrip(t, g, 12, Options{MaxRank: 4, Order: order.FP})
+}
+
+// TestDuplicateVetoPerLabel checks that the veto compares labels, not
+// just endpoints: round 1 replaces three occurrences of digram (5)-(7),
+// one of them attaching its nonterminal to (1, 2), and round 2 replaces
+// two occurrences of digram (8)-(9), one of them attaching the second
+// nonterminal to (1, 2) as well. The two edges differ in label, so
+// neither replacement is a duplicate.
+func TestDuplicateVetoPerLabel(t *testing.T) {
+	g := hypergraph.New(30)
+	// Three (5)-(7) paths x →5 m →7 y. Every endpoint other than 1
+	// and 2 gets one extra edge of its own label, so it is external
+	// and no third digram repeats.
+	g.AddEdge(5, 1, 3)
+	g.AddEdge(7, 3, 2)
+	for i, x := range []hypergraph.NodeID{4, 7} {
+		m, y := x+1, x+2
+		g.AddEdge(5, x, m)
+		g.AddEdge(7, m, y)
+		g.AddEdge(hypergraph.Label(10+2*i), x, hypergraph.NodeID(20+2*i))
+		g.AddEdge(hypergraph.Label(11+2*i), y, hypergraph.NodeID(21+2*i))
+	}
+	// Two (8)-(9) paths: one more between 1 and 2, and one elsewhere.
+	g.AddEdge(8, 1, 10)
+	g.AddEdge(9, 10, 2)
+	g.AddEdge(8, 11, 12)
+	g.AddEdge(9, 12, 13)
+	g.AddEdge(14, 11, 24)
+	g.AddEdge(15, 13, 25)
+
+	opts := Options{MaxRank: 4, Order: order.FP}
+	res, err := Compress(g, 15, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.Stats
+	if st.SkippedDuplicates != 0 || st.Replacements != 5 || st.Rounds != 2 {
+		t.Errorf("Rounds = %d, Replacements = %d, SkippedDuplicates = %d; want 2, 5, 0",
+			st.Rounds, st.Replacements, st.SkippedDuplicates)
+	}
+	checkRoundTrip(t, g, 15, opts)
 }

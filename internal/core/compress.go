@@ -163,11 +163,8 @@ func (c *compressor) run() (*Result, error) {
 		if n := c.g.WeakComponentsInto(&c.comps); n > 1 {
 			for i := 0; i+1 < n; i++ {
 				u, w := c.comps.Reps[i], c.comps.Reps[i+1]
-				id := c.g.AddEdge(virtualLabel, u, w)
-				c.growEdgeState()
-				iid := c.eset.intern(virtualLabel, u, w)
-				c.eset.counts[iid]++
-				c.edgeIID[id] = iid
+				c.g.AddEdge(virtualLabel, u, w)
+				c.occs.grow(int(c.g.MaxEdgeID()))
 				c.stats.VirtualEdges++
 			}
 			if err := c.runToFixpoint(); err != nil {
@@ -248,7 +245,7 @@ func allocCompressor(edgeCap, nodeSlots int) *compressor {
 	c := &compressor{
 		refiner: order.NewRefiner(),
 		digrams: make(map[digramKey]int32),
-		edgeIID: make([]int32, 0, edgeCap),
+		made:    make(map[[2]hypergraph.NodeID]hypergraph.Label),
 		avail:   make([]availability, 0, nodeSlots),
 	}
 	c.occs.head = make([]int32, 0, edgeCap)
@@ -269,22 +266,9 @@ func (c *compressor) resetOn(g *hypergraph.Graph, gram *grammar.Grammar, opts Op
 	c.digramPool = c.digramPool[:0]
 	c.gram.Start = c.g
 	c.g.Reserve(runReservation(c.g.NumEdges(), comps))
-	// Intern every rank-2 edge exactly; the duplicate veto only applies
-	// to rank-2 edges (adjacency-matrix encoding). On the sequential
-	// path every edge is rank 2 (validated by Compress); a merged start
-	// graph may also carry higher-rank nonterminal edges, which are
-	// left at noEntry like any hyperedge created later.
-	c.eset.reset(c.g.NumEdges())
-	c.edgeIID = fillNeg(c.edgeIID, int(c.g.MaxEdgeID()), c.g.EdgeCap())
-	for id := range c.g.EdgesSeq() {
-		att := c.g.Att(id)
-		if len(att) != 2 {
-			continue
-		}
-		iid := c.eset.intern(c.g.Label(id), att[0], att[1])
-		c.eset.counts[iid]++
-		c.edgeIID[id] = iid
-	}
+	// Labels restart with each grammar, so a stamp left by the previous
+	// graph could name a label this run mints again.
+	clear(c.made)
 	// The compressor only ever adds edges, never nodes, so per-node
 	// state can live in flat arrays indexed by NodeID. stageInit resets
 	// every entry before it is read.
@@ -393,12 +377,10 @@ type compressor struct {
 	// shared per-stage arena (chained entries, insertion order
 	// preserved; see edgeOccs).
 	occs edgeOccs
-	// eset interns alive rank-2 edges by exact (label, attachment) to
-	// veto duplicate-creating replacements; edgeIID records each
-	// edge's interned ID (noEntry for non-rank-2 edges) so removal
-	// decrements without rehashing.
-	eset    edgeInterner
-	edgeIID []int32
+	// made stamps each (source, target) pair with the label of the
+	// last rank-2 nonterminal edge a replacement attached to it: the
+	// duplicate veto's whole state (see replaceDigram).
+	made map[[2]hypergraph.NodeID]hypergraph.Label
 	// avail holds lazily built per-node pairing chains, indexed by
 	// NodeID (the node ID space is fixed for the whole run); the
 	// effLabel groups of all nodes live in groupPool and their entry
@@ -580,13 +562,14 @@ func (c *compressor) tryCount(u hypergraph.NodeID, x, y hypergraph.EdgeID) int32
 			}
 		}
 	}
-	h := co.key.hash()
-	if c.occs.keyUsed(x, h) || c.occs.keyUsed(y, h) {
-		return noDigram
-	}
-
+	// A digram not yet in the stage's map has no occurrence, so no edge
+	// can have used it: the map and the edge chains reset together.
 	di, ok := c.digrams[co.key]
-	if !ok {
+	if ok {
+		if c.occs.keyUsed(x, di) || c.occs.keyUsed(y, di) {
+			return noDigram
+		}
+	} else {
 		di = int32(len(c.digramPool))
 		c.digramPool = appendDigram(c.digramPool, co.key)
 		c.digrams[co.key] = di
@@ -598,17 +581,9 @@ func (c *compressor) tryCount(u hypergraph.NodeID, x, y hypergraph.EdgeID) int32
 	oi := c.occPool.push(occurrence{e1: int32(x), e2: int32(y), dig: di})
 	c.digOccs.add(d, oi)
 	d.count++
-	c.occs.add(x, h, oi)
-	c.occs.add(y, h, oi)
+	c.occs.add(x, di, oi)
+	c.occs.add(y, di, oi)
 	return di
-}
-
-// growEdgeState extends the per-edge tables after a new edge was
-// added to the graph.
-func (c *compressor) growEdgeState() {
-	n := int(c.g.MaxEdgeID())
-	c.occs.grow(n)
-	c.edgeIID = growNeg(c.edgeIID, n)
 }
 
 // replaceDigram performs steps 4–6 for the selected digram: creates a
@@ -670,27 +645,27 @@ func (c *compressor) replaceDigram(di int32) {
 		// which cannot represent parallel edges, so a replacement that
 		// would duplicate an existing (label, source, target) edge is
 		// skipped. Edges of other ranks live in incidence matrices
-		// (one column per edge) where parallel edges are fine. The
-		// interned count is exact: only a true duplicate vetoes, never
-		// a hash collision.
-		iid := noEntry
+		// (one column per edge) where parallel edges are fine. Every
+		// nt edge alive is one this call inserted: nt is a fresh label,
+		// and the retired digram's occurrences hold no nt edge, so none
+		// is removed before the call ends. The stamp is therefore
+		// exact.
 		if len(c.attBuf) == 2 {
-			iid = c.eset.intern(nt, c.attBuf[0], c.attBuf[1])
-			if c.eset.counts[iid] > 0 {
+			k := [2]hypergraph.NodeID{c.attBuf[0], c.attBuf[1]}
+			if c.made[k] == nt {
 				c.stats.SkippedDuplicates++
 				continue
 			}
+			c.made[k] = nt
 		}
-		c.replaceOccurrence(oi, co, nt, iid)
+		c.replaceOccurrence(oi, co, nt)
 	}
 }
 
 // replaceOccurrence removes the two occurrence edges and the internal
 // nodes, inserts the nonterminal edge, and updates occurrence lists.
-// The caller must have filled attBuf with co's attachment nodes and
-// pass the interned ID of the new edge's (label, attachment), or
-// noEntry for a non-rank-2 edge.
-func (c *compressor) replaceOccurrence(oi int32, co *canonOcc, nt hypergraph.Label, iid int32) {
+// The caller must have filled attBuf with co's attachment nodes.
+func (c *compressor) replaceOccurrence(oi int32, co *canonOcc, nt hypergraph.Label) {
 	g := c.g
 	o := *c.occPool.at(oi)
 	for _, e := range [2]hypergraph.EdgeID{hypergraph.EdgeID(o.e1), hypergraph.EdgeID(o.e2)} {
@@ -711,9 +686,6 @@ func (c *compressor) replaceOccurrence(oi int32, co *canonOcc, nt hypergraph.Lab
 			c.pq.update(c.digramPool, other.dig)
 		}
 		c.occs.clear(e)
-		if j := c.edgeIID[e]; j >= 0 {
-			c.eset.counts[j]--
-		}
 		g.RemoveEdge(e)
 	}
 	c.occPool.at(oi).dead = true
@@ -726,11 +698,7 @@ func (c *compressor) replaceOccurrence(oi int32, co *canonOcc, nt hypergraph.Lab
 	}
 
 	id := g.AddEdge(nt, c.attBuf...)
-	c.growEdgeState()
-	c.edgeIID[id] = iid
-	if iid >= 0 {
-		c.eset.counts[iid]++
-	}
+	c.occs.grow(int(g.MaxEdgeID()))
 	c.stats.Replacements++
 
 	// Step 6: pair the new edge with one available neighbor per

@@ -68,38 +68,6 @@ func keyLess(x, y *digramKey) bool {
 	return false
 }
 
-// hash is the 64-bit FNV-1a hash of the key, fed the exact byte
-// sequence of the pre-PR-1 string key (labels little-endian, ranks,
-// pattern, 0xFF separator, external flags) so that the per-edge
-// used-key sets collide identically to the pre-optimization compressor
-// and grammar outputs stay byte-for-byte reproducible.
-func (k *digramKey) hash() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	la, lb := uint32(k.la), uint32(k.lb)
-	h = (h ^ uint64(byte(la))) * prime64
-	h = (h ^ uint64(byte(la>>8))) * prime64
-	h = (h ^ uint64(byte(la>>16))) * prime64
-	h = (h ^ uint64(byte(la>>24))) * prime64
-	h = (h ^ uint64(byte(lb))) * prime64
-	h = (h ^ uint64(byte(lb>>8))) * prime64
-	h = (h ^ uint64(byte(lb>>16))) * prime64
-	h = (h ^ uint64(byte(lb>>24))) * prime64
-	h = (h ^ uint64(k.ra)) * prime64
-	h = (h ^ uint64(k.rb)) * prime64
-	for i := 0; i < int(k.rb); i++ {
-		h = (h ^ uint64(k.pat[i])) * prime64
-	}
-	h = (h ^ 0xFF) * prime64
-	for i := 0; i < int(k.n); i++ {
-		h = (h ^ uint64(k.ext>>uint(i)&1)) * prime64
-	}
-	return h
-}
-
 // canonOcc is the canonical form of one occurrence {e1, e2}: the
 // oriented edge pair, the local node table, and the digram key. The
 // slices are scratch owned by the compressor and reused across calls

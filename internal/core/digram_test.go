@@ -248,55 +248,3 @@ func TestEffLabelGrouping(t *testing.T) {
 		}
 	}
 }
-
-// oldKeyBytes reproduces the byte-string key layout the compressor
-// used before the packed key existed; the packed key's hash must be
-// the FNV-1a of exactly this sequence so that grammar output stays
-// byte-identical (used-set collisions included).
-func oldKeyBytes(k *digramKey) []byte {
-	var kb []byte
-	put32 := func(x uint32) {
-		kb = append(kb, byte(x), byte(x>>8), byte(x>>16), byte(x>>24))
-	}
-	put32(uint32(k.la))
-	put32(uint32(k.lb))
-	kb = append(kb, k.ra, k.rb)
-	kb = append(kb, k.pat[:k.rb]...)
-	kb = append(kb, 0xFF)
-	for i := 0; i < int(k.n); i++ {
-		kb = append(kb, byte(k.ext>>uint(i)&1))
-	}
-	return kb
-}
-
-func fnv1a(b []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, x := range b {
-		h = (h ^ uint64(x)) * prime64
-	}
-	return h
-}
-
-func TestKeyHashMatchesLegacyByteKey(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	distinct := map[uint64]bool{}
-	for trial := 0; trial < 200; trial++ {
-		g, e1, e2, ok := randomAdjacentPair(rng)
-		if !ok {
-			continue
-		}
-		co := canonTest(g, e1, e2)
-		want := fnv1a(oldKeyBytes(&co.key))
-		if got := co.key.hash(); got != want {
-			t.Fatalf("hash %x diverges from legacy byte-key FNV %x", got, want)
-		}
-		distinct[co.key.hash()] = true
-	}
-	if len(distinct) < 5 {
-		t.Fatal("test generated too few distinct keys to be meaningful")
-	}
-}

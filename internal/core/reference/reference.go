@@ -2,9 +2,8 @@
 // algorithm as internal/core — greedy digram replacement along a node
 // order, availability pairing, the duplicate-edge veto, virtual-edge
 // component connection, pruning — but built from ordinary maps,
-// slices and freshly allocated canonical forms instead of the arena,
-// chain and interning machinery the optimized compressor accumulated
-// over PRs 1–5. Every tie-breaking rule the optimized hot path
+// slices and freshly allocated canonical forms instead of the arena
+// and chain machinery of the optimized compressor. Every tie-breaking rule the optimized hot path
 // depends on (canonical orientation of an occurrence, bucket-queue
 // recency including its lazy stale-entry re-enqueues, availability
 // pop order, occurrence-list invalidation order) is spelled out here
@@ -17,15 +16,8 @@
 // counts, stats, encoded bytes, derive-isomorphism. Any arena rewrite
 // in internal/core that changes what the compressor *means* (rather
 // than how fast it runs) fails the differential even where the golden
-// hashes have no coverage.
-//
-// One deliberate difference: the per-edge used-digram sets are keyed
-// by the exact digram key string here, while the optimized compressor
-// keys them by the key's 64-bit FNV-1a hash (a pre-PR-1 compatibility
-// constraint pinned by the golden hashes). The two diverge only on a
-// 64-bit hash collision between distinct digram keys of one edge —
-// if the differential harness ever reports a mismatch whose trail
-// ends in keyUsed, that is the cause.
+// hashes have no coverage. No difference between the two is
+// deliberate: a mismatch is a bug in one of them.
 package reference
 
 import (
@@ -126,7 +118,8 @@ func Compress(g *hypergraph.Graph, terminals hypergraph.Label, opts Options) (*R
 }
 
 // edgeTriple identifies a rank-2 edge by label and ordered attachment
-// for the duplicate veto (the naive form of core's edge interner).
+// for the duplicate veto, which here counts every live rank-2 edge
+// (core stamps only the edges of the current round).
 type edgeTriple struct {
 	label    hypergraph.Label
 	src, dst hypergraph.NodeID

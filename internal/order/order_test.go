@@ -74,6 +74,24 @@ func TestFPDistinguishesLabels(t *testing.T) {
 	}
 }
 
+// TestFPDistinguishesWideLabels checks that labels too wide for the
+// packed tuple's label field stay apart: on the star 1→2, 2→3, 4→2,
+// 2→5, labelling 4→2 differently from the other edges splits 4 from 1
+// (4 classes) whether the second label is 2 or 1+2^20. Packed as is,
+// 1+2^20 loses its high bit and reads as label 1 (3 classes).
+func TestFPDistinguishesWideLabels(t *testing.T) {
+	for _, lab := range []hypergraph.Label{2, 1 + 1<<20, 1<<31 - 1} {
+		g := hypergraph.New(5)
+		g.AddEdge(1, 1, 2)
+		g.AddEdge(1, 2, 3)
+		g.AddEdge(lab, 4, 2)
+		g.AddEdge(1, 2, 5)
+		if c := FPClasses(g); c != 4 {
+			t.Errorf("label %d on 4→2: FP classes = %d, want 4", lab, c)
+		}
+	}
+}
+
 func TestFPDistinguishesDirection(t *testing.T) {
 	// Path a→b←c: a and c both have degree 1 and point at b, so they
 	// share a class; flipping one edge must separate them.

@@ -41,6 +41,7 @@ type Refiner struct {
 	arena       []int64
 	perm        []int32
 	nodeIdx     []int32
+	labels      []hypergraph.Label
 
 	// Traversal scratch (BFS/DFS).
 	visited []bool
@@ -203,14 +204,18 @@ func (r *Refiner) refine(g *hypergraph.Graph, maxRounds int) {
 	r.start = buf.Grow(r.start, n+1)
 	start := r.start
 	total := 0
+	maxLab := hypergraph.Label(0)
 	for i, v := range nodes {
 		start[i] = int32(total)
 		total++
 		for id := range g.IncidentSeq(v) {
 			total += len(g.Att(id)) - 1
+			maxLab = max(maxLab, g.Label(id))
 		}
 	}
 	start[n] = int32(total)
+	r.rankLabels(g, maxLab)
+	labels := r.labels
 	r.arena = buf.Grow(r.arena, total)
 	arena := r.arena
 	sig := func(i int32) []int64 { return arena[start[i]:start[i+1]] }
@@ -226,14 +231,19 @@ func (r *Refiner) refine(g *hypergraph.Graph, maxRounds int) {
 			for id := range g.IncidentSeq(v) {
 				att := g.Att(id)
 				lab := int64(g.Label(id))
+				if len(labels) > 0 {
+					rank, _ := slices.BinarySearch(labels, g.Label(id))
+					lab = int64(rank)
+				}
 				myPos := int64(g.AttPos(id, v))
 				for otherPos, u := range att {
 					if u == v {
 						continue
 					}
 					// Pack (label, myPos, otherPos, color(u)). Colors are
-					// class indices < n, so 32 bits suffice; labels and
-					// positions stay well below their fields.
+					// class indices < n, so 32 bits suffice; positions
+					// stay well below their 6 bits, and rankLabels keeps
+					// lab inside its 20.
 					s[w] = lab<<44 | myPos<<38 | int64(otherPos)<<32 | color[u]
 					w++
 				}
@@ -274,6 +284,28 @@ func (r *Refiner) refine(g *hypergraph.Graph, maxRounds int) {
 	r.res.Seq = seq
 	r.fillPos(g)
 	r.res.Classes = finalClasses
+}
+
+// labelBits is the width of the label field in a packed neighbor
+// tuple (refine).
+const labelBits = 20
+
+// rankLabels leaves r.labels empty when g's largest label maxLab fits
+// the packed tuple's label field, so refine packs labels as they are.
+// Otherwise a wider label would lose its high bits and pack equal to a
+// smaller one, so r.labels becomes g's distinct labels in ascending
+// order and refine packs each label's rank in it instead, which keeps
+// labels apart while g has at most 2^20 distinct ones.
+func (r *Refiner) rankLabels(g *hypergraph.Graph, maxLab hypergraph.Label) {
+	r.labels = r.labels[:0]
+	if maxLab < 1<<labelBits {
+		return
+	}
+	for id := range g.EdgesSeq() {
+		r.labels = append(r.labels, g.Label(id))
+	}
+	slices.Sort(r.labels)
+	r.labels = slices.Compact(r.labels)
 }
 
 // seedPerm fills r.perm (length |nodes|) with node indices, seeded
