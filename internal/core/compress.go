@@ -261,7 +261,6 @@ func allocCompressor(edgeCap, nodeSlots int) *compressor {
 func (c *compressor) resetOn(g *hypergraph.Graph, gram *grammar.Grammar, opts Options, comps int) {
 	c.g, c.gram, c.opts = g, gram, opts
 	c.stats, c.tick, c.ord = Stats{}, 0, nil
-	c.refiner.Reset()
 	clear(c.digrams)
 	c.digramPool = c.digramPool[:0]
 	c.gram.Start = c.g
@@ -354,11 +353,9 @@ type compressor struct {
 	// the poll over roundCheckStride rounds.
 	ctx  context.Context
 	tick int
-	// refiner persists order-refinement state across stages: stage n+1
-	// refines incrementally from stage n's order instead of from
-	// scratch, and the per-stage *Result it returns reuses one arena
-	// (DESIGN.md §7). ord always points at the refiner's current
-	// result.
+	// refiner keeps the order-refinement buffers across stages, so
+	// the per-stage *Result it returns reuses one arena (DESIGN.md
+	// §7). ord always points at the refiner's current result.
 	refiner *order.Refiner
 	ord     *order.Result
 

@@ -8,26 +8,62 @@ import (
 )
 
 // fuzzGraph decodes a small random graph from fuzz bytes: data[0]
-// picks the node count, then byte triples become (src, dst, label)
-// edges. Self-loops are dropped (the hypergraph forbids them);
-// parallel edges are kept — orders must tolerate them.
+// picks the node count (its low five bits) and two flags (bits 5 and
+// 6), then the rest becomes edges. Self-loops are dropped (the
+// hypergraph forbids them); parallel edges are kept — orders must
+// tolerate them.
 func fuzzGraph(data []byte) *hypergraph.Graph {
-	n := 2
+	n, flags := 2, byte(0)
 	if len(data) > 0 {
-		n = 2 + int(data[0]%32)
+		n, flags = 2+int(data[0]%32), data[0]
 	}
-	return fuzzGraphN(n, data)
+	return fuzzGraphN(n, flags, data)
 }
 
-// fuzzGraphN is fuzzGraph with the node count given; data[0] is
-// skipped all the same.
-func fuzzGraphN(n int, data []byte) *hypergraph.Graph {
+// Flags of fuzzGraph's first byte.
+const (
+	// fuzzHyper makes each edge a 5-byte record (sel, a, b, c, d): an
+	// edge of rank 2+sel%3 on the first nodes of a, b, c, d, kept only
+	// when they are distinct. The compressor refines graphs with
+	// nonterminal hyperedges of rank up to 4 and more.
+	fuzzHyper = 1 << 5
+	// fuzzWide draws labels from wideLabels, some past the 20 bits a
+	// packed tuple holds as is, and one whose packed tuple is negative.
+	fuzzWide = 1 << 6
+)
+
+var wideLabels = []hypergraph.Label{1, 2, 1 + 1<<19, 1 + 1<<20, 1<<31 - 1}
+
+// fuzzGraphN is fuzzGraph with the node count and flags given;
+// data[0] is skipped all the same. Without flags, byte triples become
+// (src, dst, label) edges.
+func fuzzGraphN(n int, flags byte, data []byte) *hypergraph.Graph {
+	label := func(b byte) hypergraph.Label {
+		if flags&fuzzWide != 0 {
+			return wideLabels[int(b)%len(wideLabels)]
+		}
+		return hypergraph.Label(1 + b%3)
+	}
 	g := hypergraph.New(n)
-	for i := 1; i+2 < len(data); i += 3 {
-		u := hypergraph.NodeID(1 + int(data[i])%n)
-		v := hypergraph.NodeID(1 + int(data[i+1])%n)
-		if u != v {
-			g.AddEdge(hypergraph.Label(1+data[i+2]%3), u, v)
+	if flags&fuzzHyper == 0 {
+		for i := 1; i+2 < len(data); i += 3 {
+			u := hypergraph.NodeID(1 + int(data[i])%n)
+			v := hypergraph.NodeID(1 + int(data[i+1])%n)
+			if u != v {
+				g.AddEdge(label(data[i+2]), u, v)
+			}
+		}
+		return g
+	}
+	var att []hypergraph.NodeID
+	for i := 1; i+4 < len(data); i += 5 {
+		sel := data[i]
+		att = att[:0]
+		for _, b := range data[i+1 : i+3+int(sel%3)] {
+			att = append(att, hypergraph.NodeID(1+int(b)%n))
+		}
+		if len(slices.Compact(slices.Sorted(slices.Values(att)))) == len(att) {
+			g.AddEdge(label(sel/3), att...)
 		}
 	}
 	return g
@@ -78,21 +114,42 @@ func sameOrder(t *testing.T, k Kind, what string, a, b *Result) {
 // FuzzOrder feeds random graphs through every order kind and asserts
 // the two contracts the compressor relies on: the result is a valid
 // permutation of the alive nodes, and it is deterministic for a fixed
-// seed. It additionally replays the compressor's stage pattern —
+// seed. FP and FP0 must equal the naive twin (twinOrder) in every
+// case. It additionally replays the compressor's stage pattern —
 // remove edges and nodes, recompute with the *same warm Refiner* — and
-// asserts the incrementally refined order is identical to a
-// from-scratch computation, which is exactly the invariant that keeps
-// the golden grammars byte-stable (DESIGN.md §7).
+// asserts the recomputed order is identical to a from-scratch
+// computation, which is exactly the invariant that keeps the golden
+// grammars byte-stable (DESIGN.md §7).
 func FuzzOrder(f *testing.F) {
 	f.Add(int64(0), []byte{5, 1, 2, 0, 2, 3, 1, 3, 4, 2})
 	f.Add(int64(42), []byte{31, 9, 3, 0, 7, 7, 1})
 	f.Add(int64(-1), []byte{})
+	// An alternating a/b chain of 32 nodes, a star of 20 leaves, an
+	// rdf-like graph (leaves pointing at three hubs of unequal degree),
+	// and hyperedges with wide labels.
+	chain := []byte{31}
+	for i := byte(0); i < 31; i++ {
+		chain = append(chain, i, i+1, i%2)
+	}
+	f.Add(int64(1), chain)
+	star := []byte{20}
+	for i := byte(1); i <= 20; i++ {
+		star = append(star, 0, i, 0)
+	}
+	f.Add(int64(2), star)
+	rdf := []byte{31}
+	for i := byte(3); i < 32; i++ {
+		rdf = append(rdf, i, i%7%3, 0)
+	}
+	f.Add(int64(3), rdf)
+	f.Add(int64(4), []byte{fuzzHyper | fuzzWide | 9, 0, 1, 2, 3, 4, 1, 2, 3, 4, 5, 2, 0, 1, 6, 7, 3, 5, 6, 0, 0, 4, 1, 2, 7, 8})
 	f.Fuzz(func(t *testing.T, seed int64, data []byte) {
 		g := fuzzGraph(data)
 		warm := NewRefiner()
 		for _, k := range AllKinds {
 			r1 := Compute(g, k, seed)
 			checkPermutation(t, g, k, r1)
+			matchesTwin(t, g, k, "scratch", r1)
 			sameOrder(t, k, "determinism", r1, Compute(g, k, seed))
 			// A Refiner warmed on arbitrary previous state must agree
 			// with the one-shot computation.
@@ -101,7 +158,7 @@ func FuzzOrder(f *testing.F) {
 
 		// Stage replay: shrink the graph like a replacement pass does,
 		// then recompute on the warm Refiner (whose buffers and
-		// previous order now seed the refinement) and compare
+		// previous order are left from the larger graph) and compare
 		// from-scratch.
 		removed := 0
 		for id := range g.EdgesSeq() {
@@ -117,9 +174,10 @@ func FuzzOrder(f *testing.F) {
 		}
 		if removed > 0 || g.NumNodes() > 0 {
 			for _, k := range AllKinds {
-				fresh := Compute(g, k, seed)
-				checkPermutation(t, g, k, fresh)
-				sameOrder(t, k, "incremental vs scratch", fresh, warm.Compute(g, k, seed))
+				got := warm.Compute(g, k, seed)
+				checkPermutation(t, g, k, got)
+				matchesTwin(t, g, k, "shrunk", got)
+				sameOrder(t, k, "incremental vs scratch", Compute(g, k, seed), got)
 			}
 		}
 
@@ -127,12 +185,18 @@ func FuzzOrder(f *testing.F) {
 		// one smaller and one larger, as a sharded compression's pool
 		// compressor does between shards.
 		n := g.NumNodes()
+		flags := byte(0)
+		if len(data) > 0 {
+			flags = data[0]
+		}
 		rev := slices.Clone(data)
 		slices.Reverse(rev)
-		for _, h := range []*hypergraph.Graph{fuzzGraphN(2+n/2, rev), fuzzGraphN(n+40, data)} {
+		for _, h := range []*hypergraph.Graph{fuzzGraphN(2+n/2, flags, rev), fuzzGraphN(n+40, flags, data)} {
 			warm.Reset()
 			for _, k := range AllKinds {
-				sameOrder(t, k, "reset vs scratch", Compute(h, k, seed), warm.Compute(h, k, seed))
+				got := warm.Compute(h, k, seed)
+				matchesTwin(t, h, k, "reset", got)
+				sameOrder(t, k, "reset vs scratch", Compute(h, k, seed), got)
 			}
 		}
 	})

@@ -251,8 +251,7 @@ func TestExtendedOrdersArePermutations(t *testing.T) {
 // warmed on one graph, then Reset and used on a smaller and then a
 // larger unrelated graph, the Refiner returns the same Seq, Pos and
 // Classes as a fresh one, for every Kind. The smaller graph's node IDs
-// all occur in the warm order, so without the reset its refinement
-// would be seeded from another graph's order.
+// all occur in the warm order, so a Pos entry left from it would show.
 func TestRefinerResetMatchesFresh(t *testing.T) {
 	randomGraph := func(seed int64, n, m int) *hypergraph.Graph {
 		rng := rand.New(rand.NewSource(seed))

@@ -1,7 +1,10 @@
 package order
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 
@@ -10,105 +13,137 @@ import (
 )
 
 // Refiner computes node orders with state that persists across calls:
-// the signature arena, partition buffers and the Result itself are
-// reused, so a Refiner held for the lifetime of a compression run
-// makes per-stage order computation allocation-free once the buffers
-// reach their high-water marks (DESIGN.md §7).
+// the neighbor table, the partition arrays, the signature scratch and
+// the Result itself are reused, so a Refiner held for the lifetime of
+// a compression run makes per-stage order computation allocation-free
+// once the buffers reach their high-water marks (DESIGN.md §7).
 //
-// Beyond buffer reuse, refinement is incremental across calls: the
-// sort permutation of each FP/FP0 round is seeded from the previous
-// round — and, across stages, from the previous stage's final order —
-// so the per-round signature sort runs over an almost-sorted slice
-// instead of a random one. This is a pure cost optimization: class
-// assignment depends only on the multiset of signature values (ties
-// between equal signatures collapse into one class no matter how the
-// sort ordered them), so the computed order is bit-identical to a
-// from-scratch computation (pinned by TestGoldenGrammars end to end
-// and by FuzzOrder's warm-vs-scratch comparison).
+// No order depends on the previous call. Pos keeps -1 in every slot
+// but the previous order's, so a call clears only those; apart from
+// listing the alive nodes, FP and FP0 cost time in the alive nodes
+// and their incidences, not in the graph's largest node ID.
 //
 // A Refiner is not safe for concurrent use. The *Result returned by
 // Compute is owned by the Refiner and overwritten by its next Compute
 // call; callers that need the order to outlive the next call must
 // copy Seq and Pos.
 type Refiner struct {
-	res   Result
-	nodes []hypergraph.NodeID
+	res Result
 
-	// FP/FP0 refinement state (§7): colors and the round scratch are
-	// indexed by NodeID, the signature arena by node index via start.
-	color, next []int64
-	start       []int32
-	arena       []int64
-	perm        []int32
-	nodeIdx     []int32
-	labels      []hypergraph.Label
+	// FP/FP0 state (§7). A node is named by its index in the list of
+	// alive nodes, which Seq holds until the order is done.
+	tstart  []int32 // node i's neighbor tuples are tab[tstart[i]:tstart[i+1]]
+	tab     []tuple
+	labels  []hypergraph.Label
+	cls     []int32 // node → class
+	perm    []int32 // nodes, each class one contiguous block
+	where   []int32 // node → its position in perm; first degree counts
+	classes []class
+	touched []int32 // classes with a dirty member
+	splits  []int32 // the round's splits: class, part count, part ends
+	sigs    []int64 // signatures of the class being split
+	items   []item  // its signed nodes; or a moved class's nodes
 
 	// Traversal scratch (BFS/DFS).
+	nodes   []hypergraph.NodeID
 	visited []bool
 	nbs     []hypergraph.NodeID
 	work    []hypergraph.NodeID
+}
+
+// tuple is one static neighbor entry of the FP table: a node's tuple
+// for neighbor u of edge e is pre<<32 | the position of u's class,
+// which is all a refinement round rewrites.
+type tuple struct {
+	pre uint32 // lab(e)<<12 | pos(v, e)<<6 | pos(u, e), lab(e) ranked if wide
+	nbr int32  // u's node index
+}
+
+// class is a block perm[start:end]. Its start is the class's color:
+// blocks are laid out in color order, so the starts rank the classes
+// as dense colors would. The block's first dirty members are those
+// with a neighbor that moved to another class since the block was
+// last signed.
+type class struct {
+	start, end int32
+	dirty      int32 // also the cursor of the final counting sort
+}
+
+// item is a signed node. Its signature's first tuple is first, and the
+// others are at sigs[off:], so a sort on single-tuple signatures
+// compares items only. An empty signature has first math.MinInt64,
+// which no tuple packs to: a tuple's two positions differ.
+type item struct {
+	first     int64
+	node, off int32
 }
 
 // NewRefiner returns an empty Refiner. Buffers are grown lazily on
 // first use.
 func NewRefiner() *Refiner { return &Refiner{} }
 
-// Reset forgets the previous order, keeping every buffer, so the next
-// Compute seeds its refinement from scratch. A Refiner moving on to an
-// unrelated graph calls it: node IDs of the old graph mean nothing in
-// the new one. The result would be the same without it (any seed
-// gives the same order), but the reset keeps a stale order from
-// steering the sort.
-func (r *Refiner) Reset() { r.res.Seq = r.res.Seq[:0] }
+// Reset drops the previous order, keeping every buffer: Seq becomes
+// empty and Pos -1 throughout. Every Compute starts with it, so no
+// result depends on the previous call.
+func (r *Refiner) Reset() {
+	for _, v := range r.res.Seq {
+		r.res.Pos[v] = -1
+	}
+	r.res.Seq = r.res.Seq[:0]
+}
 
 // Compute returns the requested order of g's alive nodes. The seed is
 // used only by Random. The result aliases Refiner-owned storage; see
 // the type comment.
 func (r *Refiner) Compute(g *hypergraph.Graph, kind Kind, seed int64) *Result {
+	r.Reset()
+	r.res.Pos = r.sizePos(int(g.MaxNodeID()) + 1)
 	switch kind {
 	case Natural:
-		r.res.Seq = g.AppendNodes(r.res.Seq[:0])
-		r.finishTotal(g)
+		r.res.Seq = g.AppendNodes(r.res.Seq)
+		r.finishTotal()
 	case BFS:
 		r.traverse(g, false)
-		r.finishTotal(g)
+		r.finishTotal()
 	case DFS:
 		r.traverse(g, true)
-		r.finishTotal(g)
+		r.finishTotal()
 	case Random:
-		seq := g.AppendNodes(r.res.Seq[:0])
+		seq := g.AppendNodes(r.res.Seq)
 		rng := rand.New(rand.NewSource(seed))
 		rng.Shuffle(len(seq), func(i, j int) { seq[i], seq[j] = seq[j], seq[i] })
 		r.res.Seq = seq
-		r.finishTotal(g)
+		r.finishTotal()
 	case FP0:
-		r.refine(g, 1)
+		r.degreeOrder(g)
 	case FP:
-		r.refine(g, -1)
+		r.refine(g)
 	default:
 		panic(fmt.Sprintf("order: unknown kind %d", int(kind)))
 	}
 	return &r.res
 }
 
-// finishTotal completes a total order: Pos is rebuilt from Seq and the
-// class count is the node count.
-func (r *Refiner) finishTotal(g *hypergraph.Graph) {
-	r.fillPos(g)
-	r.res.Classes = len(r.res.Seq)
-}
-
-// fillPos rebuilds res.Pos (NodeID → position, -1 for dead) from
-// res.Seq.
-func (r *Refiner) fillPos(g *hypergraph.Graph) {
-	r.res.Pos = buf.Grow(r.res.Pos, int(g.MaxNodeID())+1)
-	pos := r.res.Pos
+// sizePos returns res.Pos at length n. Its backing array holds -1
+// throughout once Reset has run, so only a grown array is filled.
+func (r *Refiner) sizePos(n int) []int32 {
+	if cap(r.res.Pos) >= n {
+		return r.res.Pos[:n]
+	}
+	pos := make([]int32, n)
 	for i := range pos {
 		pos[i] = -1
 	}
+	return pos
+}
+
+// finishTotal completes a total order: Pos is filled from Seq and the
+// class count is the node count.
+func (r *Refiner) finishTotal() {
 	for i, v := range r.res.Seq {
-		pos[v] = int32(i)
+		r.res.Pos[v] = int32(i)
 	}
+	r.res.Classes = len(r.res.Seq)
 }
 
 // traverse produces a BFS (dfs=false) or DFS (dfs=true) order into
@@ -163,10 +198,59 @@ func (r *Refiner) traverse(g *hypergraph.Graph, dfs bool) {
 	r.nbs = nbs
 }
 
+// degreeOrder is FP0, the plain degree order: the alive nodes by
+// (degree, ID), one class per distinct degree, by one stable counting
+// sort.
+func (r *Refiner) degreeOrder(g *hypergraph.Graph) {
+	seq := g.AppendNodes(r.res.Seq)
+	cnt, distinct := r.degreeStarts(g, seq)
+	perm := buf.Grow(r.perm, len(seq))
+	for _, v := range seq {
+		d := g.Degree(v)
+		perm[cnt[d]] = int32(v)
+		cnt[d]++
+	}
+	r.perm, r.res.Seq, r.res.Classes = perm, seq, distinct
+	r.finishFrom(perm)
+}
+
+// degreeStarts returns cnt, where cnt[d] is the first position of
+// degree d in the (degree, ID) order of nodes, and the number of
+// distinct degrees. cnt lives in r.where, which it sizes for both
+// uses.
+func (r *Refiner) degreeStarts(g *hypergraph.Graph, nodes []hypergraph.NodeID) (cnt []int32, distinct int) {
+	maxDeg := 0
+	for _, v := range nodes {
+		maxDeg = max(maxDeg, g.Degree(v))
+	}
+	r.where = buf.Grow(r.where, max(len(nodes), maxDeg+2))
+	cnt = r.where[:maxDeg+2]
+	clear(cnt)
+	for _, v := range nodes {
+		cnt[g.Degree(v)+1]++
+	}
+	for d := 1; d < len(cnt); d++ {
+		if cnt[d] > 0 {
+			distinct++
+		}
+		cnt[d] += cnt[d-1]
+	}
+	return cnt, distinct
+}
+
+// finishFrom copies the order in perm, given as node IDs, into Seq and
+// Pos.
+func (r *Refiner) finishFrom(perm []int32) {
+	for p, v := range perm {
+		r.res.Seq[p], r.res.Pos[v] = hypergraph.NodeID(v), int32(p)
+	}
+}
+
 // refine runs the FP fixpoint of Sec. III-B1: c0(v) = d(v); each round
 // maps v to the tuple (c(v), sorted incident-edge signatures) and
-// relabels tuples by their lexicographic rank. maxRounds < 0 iterates
-// to the fixpoint; maxRounds = 1 yields FP0 (the plain degree order).
+// relabels tuples by their lexicographic rank, until a round splits no
+// class. The order is then by (color, ID), and Classes the number of
+// colors.
 //
 // The paper defines the computation for undirected unlabeled graphs
 // and notes it "can be straightforwardly extended to directed labeled
@@ -174,133 +258,124 @@ func (r *Refiner) traverse(g *hypergraph.Graph, dfs bool) {
 // both endpoints in the attachment sequence, which specializes to
 // (label, direction) for rank-2 edges and covers hyperedges.
 //
-// All signatures live in one flat arena refilled in place each round
-// (their sizes depend only on the static graph), and every buffer is
-// reused across calls, so per-stage refinement allocates nothing once
-// the arena reaches its high-water mark. Each round's sort is seeded
-// with the previous round's permutation (see the type comment for why
-// that cannot change the result): after round one, the primary sort
-// key s[0] is the previous round's rank, so the slice arrives almost
-// sorted and the pdqsort run detection makes the round near-linear.
-func (r *Refiner) refine(g *hypergraph.Graph, maxRounds int) {
-	r.nodes = g.AppendNodes(r.nodes[:0])
-	nodes := r.nodes
-	n := len(nodes)
-	maxID := int(g.MaxNodeID())
-	r.color = buf.Grow(r.color, maxID+1)
-	r.next = buf.Grow(r.next, maxID+1)
-	color, next := r.color, r.next
-
-	// Round 0: colors are degrees. Dead-node slots hold garbage, which
-	// is harmless: only colors of alive nodes are ever read.
-	for _, v := range nodes {
-		color[v] = int64(g.Degree(v))
+// The rounds are the paper's, but a round touches only what can
+// change. Each class is a block of perm, and the block's start stands
+// for the dense rank: both rank the classes alike, so every tuple
+// comparison comes out the same. A round sorts each class on its own,
+// as the previous color is the signature's first key. When a class
+// splits, its largest part keeps the class, and only the nodes of the
+// other parts move. A class none of whose members has a moved
+// neighbor cannot split: its members' signatures read the same
+// classes as in the round that last found them equal. So a round signs
+// only the nodes next to a moved node, plus one unchanged member that
+// stands for the rest of their class. A node moves into a class at
+// most half its old one's size, so at most log2 n times.
+func (r *Refiner) refine(g *hypergraph.Graph) {
+	// Seq lists the alive nodes, and Pos maps them to their indices,
+	// until the order overwrites both.
+	nodes, pos := g.AppendNodes(r.res.Seq), r.res.Pos
+	for i, v := range nodes {
+		pos[v] = int32(i)
 	}
-	classes := r.countClasses(nodes, color)
-	rounds := 1
+	r.res.Seq = nodes
+	cnt, _ := r.degreeStarts(g, nodes)
+	r.buildTable(g, cnt)
+	r.partitionByDegree(g, cnt)
+	for len(r.touched) > 0 {
+		r.splits = r.splits[:0]
+		for _, c := range r.touched {
+			r.split(c)
+		}
+		r.touched = r.touched[:0]
+		r.applySplits()
+	}
 
-	// Node i's signature is arena[start[i]:start[i+1]], laid out as
-	// [own color, sorted packed neighbor tuples...].
-	r.start = buf.Grow(r.start, n+1)
-	start := r.start
-	total := 0
+	// (color, ID) order by a counting sort: nodes ascend by ID, and
+	// each class's block start is its first position.
+	for i, v := range nodes {
+		c := &r.classes[r.cls[i]]
+		r.perm[c.start+c.dirty] = int32(v)
+		c.dirty++
+	}
+	r.finishFrom(r.perm)
+	r.res.Classes = len(r.classes)
+}
+
+// buildTable lays out the alive nodes' neighbor tuples once per
+// Compute: one per (incident edge, other attached node). pos must map
+// alive IDs to node indices, and cnt[d] be the first position of
+// degree d (degreeStarts). A node alone with its degree gets none: its
+// class never splits and never moves, so its tuples would never be
+// read. Labels are packed as they are, and packed again as ranks in
+// the rare graph whose labels do not fit.
+func (r *Refiner) buildTable(g *hypergraph.Graph, cnt []int32) {
+	r.labels = r.labels[:0]
+	if maxLab := r.fillTable(g, cnt); maxLab >= 1<<labelBits {
+		r.rankLabels(g)
+		r.fillTable(g, cnt)
+	}
+}
+
+// fillTable fills r.tstart and r.tab, packing labels as ranks in
+// r.labels when it is not empty, and returns the largest label of any
+// alive edge. A rank-2 graph has as many tuples as incidences.
+func (r *Refiner) fillTable(g *hypergraph.Graph, cnt []int32) hypergraph.Label {
+	nodes, pos, labels := r.res.Seq, r.res.Pos, r.labels
+	alone := func(v hypergraph.NodeID) bool { d := g.Degree(v); return cnt[d+1]-cnt[d] == 1 }
+	tstart := buf.Grow(r.tstart, len(nodes)+1)
+	incidences := 0
+	for _, v := range nodes {
+		if !alone(v) {
+			incidences += g.Degree(v)
+		}
+	}
+	tab := r.tab[:0]
+	if cap(tab) < incidences {
+		tab = make([]tuple, 0, incidences)
+	}
 	maxLab := hypergraph.Label(0)
 	for i, v := range nodes {
-		start[i] = int32(total)
-		total++
-		for id := range g.IncidentSeq(v) {
-			total += len(g.Att(id)) - 1
-			maxLab = max(maxLab, g.Label(id))
+		tstart[i] = int32(len(tab))
+		if alone(v) {
+			// Its labels still decide whether labels are ranked.
+			for id := range g.IncidentSeqRO(v) {
+				maxLab = max(maxLab, g.Label(id))
+			}
+			continue
 		}
-	}
-	start[n] = int32(total)
-	r.rankLabels(g, maxLab)
-	labels := r.labels
-	r.arena = buf.Grow(r.arena, total)
-	arena := r.arena
-	sig := func(i int32) []int64 { return arena[start[i]:start[i+1]] }
-	r.seedPerm(g)
-	perm := r.perm
-
-	finalClasses := classes
-	for n > 0 && (maxRounds < 0 || rounds < maxRounds) {
-		for i, v := range nodes {
-			s := sig(int32(i))
-			s[0] = color[v]
-			w := 1
-			for id := range g.IncidentSeq(v) {
-				att := g.Att(id)
-				lab := int64(g.Label(id))
-				if len(labels) > 0 {
-					rank, _ := slices.BinarySearch(labels, g.Label(id))
-					lab = int64(rank)
-				}
-				myPos := int64(g.AttPos(id, v))
-				for otherPos, u := range att {
-					if u == v {
-						continue
-					}
-					// Pack (label, myPos, otherPos, color(u)). Colors are
-					// class indices < n, so 32 bits suffice; positions
-					// stay well below their 6 bits, and rankLabels keeps
-					// lab inside its 20.
-					s[w] = lab<<44 | myPos<<38 | int64(otherPos)<<32 | color[u]
-					w++
+		for id := range g.IncidentSeqRO(v) {
+			lab := g.Label(id)
+			maxLab = max(maxLab, lab)
+			if len(labels) > 0 {
+				rank, _ := slices.BinarySearch(labels, lab)
+				lab = hypergraph.Label(rank)
+			}
+			// Positions stay well below their 6 bits, and rankLabels
+			// keeps lab inside its 20.
+			att := g.Att(id)
+			pre := uint32(lab)<<12 | uint32(slices.Index(att, v))<<6
+			for otherPos, u := range att {
+				if u != v {
+					tab = append(tab, tuple{pre: pre | uint32(otherPos), nbr: pos[u]})
 				}
 			}
-			slices.Sort(s[1:])
-		}
-		slices.SortFunc(perm, func(a, b int32) int { return compareSig(sig(a), sig(b)) })
-		cls := int64(0)
-		for i, pi := range perm {
-			if i > 0 && compareSig(sig(perm[i-1]), sig(pi)) != 0 {
-				cls++
-			}
-			next[nodes[pi]] = cls
-		}
-		newClasses := int(cls) + 1
-		copy(color, next)
-		rounds++
-		finalClasses = newClasses
-		if newClasses == classes {
-			break // fixpoint: refinement is monotone, equal count ⇒ stable
-		}
-		classes = newClasses
-		if rounds > n+1 { // safety net; refinement terminates in ≤ n rounds
-			break
 		}
 	}
-
-	seq := append(r.res.Seq[:0], nodes...)
-	slices.SortFunc(seq, func(a, b hypergraph.NodeID) int {
-		if color[a] != color[b] {
-			if color[a] < color[b] {
-				return -1
-			}
-			return 1
-		}
-		return int(a - b)
-	})
-	r.res.Seq = seq
-	r.fillPos(g)
-	r.res.Classes = finalClasses
+	tstart[len(nodes)] = int32(len(tab))
+	r.tstart, r.tab = tstart, tab
+	return maxLab
 }
 
 // labelBits is the width of the label field in a packed neighbor
-// tuple (refine).
+// tuple.
 const labelBits = 20
 
-// rankLabels leaves r.labels empty when g's largest label maxLab fits
-// the packed tuple's label field, so refine packs labels as they are.
-// Otherwise a wider label would lose its high bits and pack equal to a
-// smaller one, so r.labels becomes g's distinct labels in ascending
-// order and refine packs each label's rank in it instead, which keeps
-// labels apart while g has at most 2^20 distinct ones.
-func (r *Refiner) rankLabels(g *hypergraph.Graph, maxLab hypergraph.Label) {
-	r.labels = r.labels[:0]
-	if maxLab < 1<<labelBits {
-		return
-	}
+// rankLabels sets r.labels to g's distinct labels in ascending order,
+// for a graph whose largest label does not fit the packed tuple's
+// label field: a wider label would lose its high bits and pack equal
+// to a smaller one. Packing each label's rank instead keeps labels
+// apart while g has at most 2^20 distinct ones.
+func (r *Refiner) rankLabels(g *hypergraph.Graph) {
 	for id := range g.EdgesSeq() {
 		r.labels = append(r.labels, g.Label(id))
 	}
@@ -308,66 +383,284 @@ func (r *Refiner) rankLabels(g *hypergraph.Graph, maxLab hypergraph.Label) {
 	r.labels = slices.Compact(r.labels)
 }
 
-// seedPerm fills r.perm (length |nodes|) with node indices, seeded
-// from the previous Compute's order when every currently alive node
-// appears in it (the compressor only removes nodes between stages, so
-// this is the steady case); identity otherwise. Any permutation is a
-// correct starting point — the seed only moves the sort closer to its
-// fixed output.
-func (r *Refiner) seedPerm(g *hypergraph.Graph) {
-	n := len(r.nodes)
-	r.perm = buf.Grow(r.perm, n)
-	perm := r.perm
-	if prev := r.res.Seq; len(prev) >= n && n > 0 {
-		r.nodeIdx = buf.Grow(r.nodeIdx, int(g.MaxNodeID())+1)
-		idx := r.nodeIdx
-		for i := range idx {
-			idx[i] = -1
-		}
-		for i, v := range r.nodes {
-			idx[v] = int32(i)
-		}
-		k := 0
-		for _, v := range prev {
-			if int(v) < len(idx) && idx[v] >= 0 {
-				perm[k] = idx[v]
-				k++
-				idx[v] = -1 // each alive node seeds at most one slot
-			}
-		}
-		if k == n {
-			return
+// partitionByDegree makes round 0's classes from degreeStarts' cnt,
+// one per degree in ascending order, with every node dirty, and sizes
+// the signature scratch for the largest that can split: later classes
+// are parts of these.
+func (r *Refiner) partitionByDegree(g *hypergraph.Graph, cnt []int32) {
+	nodes := r.res.Seq
+	n := len(nodes)
+	perm := buf.Grow(r.perm, n)
+	for i, v := range nodes {
+		d := g.Degree(v)
+		perm[cnt[d]] = int32(i)
+		cnt[d]++
+	}
+	// cnt[d] is now the end of degree d's block.
+	classes, touched := r.classes[:0], r.touched[:0]
+	start := int32(0)
+	for _, end := range cnt[:len(cnt)-1] {
+		if end > start {
+			touched = append(touched, int32(len(classes)))
+			classes = append(classes, class{start: start, end: end, dirty: end - start})
+			start = end
 		}
 	}
-	for i := range perm {
-		perm[i] = int32(i)
+	cls, where := buf.Grow(r.cls, n), r.where
+	maxItems, maxSigs := int32(0), int32(0)
+	for c, cl := range classes {
+		sigs := int32(0)
+		for p := cl.start; p < cl.end; p++ {
+			i := perm[p]
+			cls[i], where[i] = int32(c), p
+			sigs += max(r.tstart[i+1]-r.tstart[i]-1, 0)
+		}
+		if cl.end-cl.start > 1 { // a class of one is never signed
+			maxItems, maxSigs = max(maxItems, cl.end-cl.start), max(maxSigs, sigs)
+		}
+	}
+	r.perm, r.cls, r.where = perm, cls, where
+	r.classes, r.touched = classes, touched
+	r.items = buf.Grow(r.items, int(maxItems))
+	r.sigs = buf.Grow(r.sigs, int(maxSigs)+1) // sign's one spare key
+}
+
+// split signs class c's dirty members, and one clean member for the
+// rest, sorts them, and records in r.splits the parts the class falls
+// into, laying its block out part by part. No class changes before
+// applySplits, so all of a round's signatures read one partition.
+func (r *Refiner) split(c int32) {
+	cl := &r.classes[c]
+	s, e, d := cl.start, cl.end, cl.dirty
+	cl.dirty = 0
+	if e-s < 2 {
+		return
+	}
+	items := r.items[:0]
+	r.sigs = r.sigs[:0]
+	for _, i := range r.perm[s : s+d] {
+		items = append(items, r.sign(i))
+	}
+	clean, rep := e-s-d, int32(-1)
+	if clean > 0 {
+		rep = r.perm[s+d]
+		items = append(items, r.sign(rep))
+	}
+	sigs, tstart := r.sigs, r.tstart
+	rest := func(it item) []int64 {
+		return sigs[it.off : it.off+max(tstart[it.node+1]-tstart[it.node]-1, 0)]
+	}
+	compare := func(a, b item) int {
+		if c := cmp.Compare(a.first, b.first); c != 0 || len(sigs) == 0 {
+			return c
+		}
+		return compareSig(rest(a), rest(b))
+	}
+	if len(sigs) == 0 {
+		sortFirst(items) // no signature is longer than its first tuple
+	} else {
+		slices.SortFunc(items, compare)
+	}
+
+	// The parts' ends as perm positions; rep stands for clean nodes.
+	hdr := len(r.splits)
+	splits := append(r.splits, c, 0)
+	p := s
+	for k, it := range items {
+		if it.node == rep {
+			p += clean
+		} else {
+			p++
+		}
+		if k+1 == len(items) || compare(it, items[k+1]) != 0 {
+			splits = append(splits, p)
+		}
+	}
+	parts := int32(len(splits) - hdr - 2)
+	if parts == 1 {
+		r.splits = splits[:hdr]
+		return
+	}
+	splits[hdr+1] = parts
+	r.splits = splits
+	r.layout(s, e, d, rep, items)
+}
+
+// layout rewrites block perm[s:e], whose first d members are dirty,
+// in the order of the sorted items, with the clean members where rep
+// sorted. It moves at most d of the clean ones.
+func (r *Refiner) layout(s, e, d, rep int32, items []item) {
+	perm, where := r.perm, r.where
+	clean := e - s - d
+	if rep >= 0 {
+		// The clean members go to [s+rk, e-d+rk), rk being rep's rank.
+		rk := int32(slices.IndexFunc(items, func(it item) bool { return it.node == rep }))
+		if shift := d - rk; shift > 0 {
+			from, to := s+d, s+rk // move all the clean members left
+			if clean > shift {
+				from, to = e-shift, s+rk // or only the tail past the new end
+			}
+			for p := from; p < e; p++ {
+				i := perm[p]
+				perm[to], where[i] = i, to
+				to++
+			}
+		}
+	}
+	p := s
+	for _, it := range items {
+		if it.node == rep {
+			p += clean
+			continue
+		}
+		perm[p], where[it.node] = it.node, p
+		p++
 	}
 }
 
-// countClasses returns the number of distinct colors over nodes,
-// using next[:len(nodes)] as sort scratch (next is fully rewritten by
-// every refinement round, so clobbering it here is safe).
-func (r *Refiner) countClasses(nodes []hypergraph.NodeID, color []int64) int {
-	if len(nodes) == 0 {
-		return 0
+// sign appends node i's signature to r.sigs: its tuples with the
+// current class positions, sorted. The node's own class, the
+// signature's first key, is left out, as only members of one class
+// are compared.
+func (r *Refiner) sign(i int32) item {
+	tuples := r.tab[r.tstart[i]:r.tstart[i+1]]
+	it := item{first: math.MinInt64, node: i, off: int32(len(r.sigs))}
+	switch len(tuples) {
+	case 0:
+	case 1:
+		it.first = r.key(tuples[0])
+	default:
+		// Sort the keys in the arena, then move the smallest out.
+		sigs := r.sigs
+		for _, t := range tuples {
+			sigs = append(sigs, r.key(t))
+		}
+		s := sigs[it.off:]
+		slices.Sort(s)
+		it.first = s[0]
+		r.sigs = append(sigs[:it.off], s[1:]...)
 	}
-	scratch := r.next[:len(nodes)]
-	for i, v := range nodes {
-		scratch[i] = color[v]
-	}
-	slices.Sort(scratch)
-	c := 1
-	for i := 1; i < len(scratch); i++ {
-		if scratch[i] != scratch[i-1] {
-			c++
+	return it
+}
+
+// key is tuple t as it reads this round.
+func (r *Refiner) key(t tuple) int64 {
+	return int64(t.pre)<<32 | int64(r.classes[r.cls[t.nbr]].start)
+}
+
+// applySplits turns the round's recorded parts into classes. The
+// largest part of a split class keeps it; every other part becomes a
+// new class, and the neighbors of its nodes turn dirty.
+func (r *Refiner) applySplits() {
+	first := int32(len(r.classes))
+	for k := 0; k < len(r.splits); {
+		c, parts := r.splits[k], r.splits[k+1]
+		ends := r.splits[k+2 : k+2+int(parts)]
+		k += 2 + int(parts)
+		big, bigLen, prev := 0, int32(0), r.classes[c].start
+		for j, end := range ends {
+			if end-prev > bigLen {
+				big, bigLen = j, end-prev
+			}
+			prev = end
+		}
+		prev = r.classes[c].start
+		for j, end := range ends {
+			if j == big {
+				r.classes[c].start, r.classes[c].end = prev, end
+			} else {
+				id := int32(len(r.classes))
+				r.classes = append(r.classes, class{start: prev, end: end})
+				for _, i := range r.perm[prev:end] {
+					r.cls[i] = id
+				}
+			}
+			prev = end
 		}
 	}
-	return c
+	for c := first; c < int32(len(r.classes)); c++ {
+		// Marking reorders blocks, this one too, so walk a copy.
+		moved := r.items[:0]
+		for _, i := range r.perm[r.classes[c].start:r.classes[c].end] {
+			moved = append(moved, item{node: i})
+		}
+		for _, it := range moved {
+			for _, t := range r.tab[r.tstart[it.node]:r.tstart[it.node+1]] {
+				r.mark(t.nbr)
+			}
+		}
+	}
+}
+
+// mark makes node i dirty: it moves to the front of its class's
+// block, behind the class's other dirty members. A class of one node
+// cannot split, so its node is never marked.
+func (r *Refiner) mark(i int32) {
+	c := r.cls[i]
+	cl := &r.classes[c]
+	q := cl.start + cl.dirty
+	if cl.end-cl.start < 2 || r.where[i] < q {
+		return
+	}
+	if cl.dirty == 0 {
+		r.touched = append(r.touched, c)
+	}
+	p, j := r.where[i], r.perm[q]
+	r.perm[q], r.perm[p] = i, j
+	r.where[i], r.where[j] = q, p
+	cl.dirty++
+}
+
+// sortFirst sorts items by first: an in-place radix sort (American
+// flag sort) on the bytes in which firsts differ, most significant
+// first. A class of many one-tuple signatures, such as the leaves of a
+// hub, holds few distinct keys, so a pass or two sorts it.
+func sortFirst(items []item) {
+	if len(items) < 64 {
+		slices.SortFunc(items, func(a, b item) int { return cmp.Compare(a.first, b.first) })
+		return
+	}
+	diff := uint64(0)
+	for _, it := range items {
+		diff |= uint64(it.first ^ items[0].first)
+	}
+	if diff == 0 {
+		return
+	}
+	// Flipping the sign bit makes unsigned byte order signed order.
+	shift := uint(63-bits.LeadingZeros64(diff)) &^ 7
+	digit := func(it item) byte { return byte((uint64(it.first) ^ 1<<63) >> shift) }
+	var next, end [256]int
+	for _, it := range items {
+		end[digit(it)]++
+	}
+	sum := 0
+	for b := range end {
+		next[b] = sum
+		sum += end[b]
+		end[b] = sum
+	}
+	for b := range next {
+		for next[b] < end[b] {
+			it := items[next[b]]
+			// Carry it to its bucket, taking the item there along.
+			for d := digit(it); d != byte(b); d = digit(it) {
+				items[next[d]], it = it, items[next[d]]
+				next[d]++
+			}
+			items[next[b]] = it
+			next[b]++
+		}
+	}
+	start := 0
+	for b := range end {
+		sortFirst(items[start:end[b]])
+		start = end[b]
+	}
 }
 
 // compareSig orders signatures lexicographically, shorter-is-smaller
-// on a shared prefix (the order lessSig produced before the arena
-// layout).
+// on a shared prefix.
 func compareSig(a, b []int64) int {
 	for i := 0; i < len(a) && i < len(b); i++ {
 		if a[i] != b[i] {
